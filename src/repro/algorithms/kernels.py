@@ -2,7 +2,7 @@
 
 Each kernel reimplements one shipped algorithm's ``setup``/``step`` as
 whole-graph array operations (see :mod:`repro.backends.vectorized` for
-the harness and the kernel contract).  The cardinal rule is
+the stepper and the kernel contract).  The cardinal rule is
 *bit-identity with the scalar engines*:
 
 - published state lives in per-vertex arrays and is only scattered

@@ -18,15 +18,11 @@ contract mechanically.
 
 from .coordinator import (
     DEFAULT_SHARD_COUNT,
-    SHARD_MODE_ENV_VAR,
-    SHARD_SEED_ENV_VAR,
     SHARDS_ENV_VAR,
     ShardConfig,
     WorkerCrashError,
     active_worker_pids,
-    capture_sharded_state,
     current_shard_config,
-    restore_sharded_state,
     run_local_sharded,
     use_shards,
 )
@@ -46,16 +42,12 @@ __all__ = [
     "RANDOM",
     "Partition",
     "SHARDS_ENV_VAR",
-    "SHARD_MODE_ENV_VAR",
-    "SHARD_SEED_ENV_VAR",
     "ShardConfig",
     "WorkerCrashError",
     "active_worker_pids",
     "boundary_edges",
-    "capture_sharded_state",
     "current_shard_config",
     "partition_graph",
-    "restore_sharded_state",
     "run_local_sharded",
     "use_shards",
 ]

@@ -2,28 +2,28 @@
 
 :func:`run_local_sharded` is the entry point registered as the
 ``"sharded"`` backend (same signature and same :class:`RunResult` as
-every other backend).  It mirrors the fast engine's round loop exactly
-— same checkpoint/budget/max-rounds guard order, same wake-bucket
-bulk-skip accounting, same trace entries — but delegates the per-vertex
-stepping of each round to N forked shard workers and exchanges only
-boundary messages at the round barrier:
+every other backend).  It runs the shared round loop,
+:func:`repro.core.engine.run_rounds` — which owns the checkpoint,
+budget and max-rounds guards, bulk skips, trace rows and observer
+lifecycle for every backend — with a shard-exchange stepper that adds
+only what a round barrier needs:
 
 1. the parent builds contexts and runs setup (or restores a
-   checkpoint) exactly as the serial engines do, then forks one worker
-   per shard — the workers inherit everything through the copied
-   address space;
-2. each round, the parent broadcasts ``("step", r, ghosts)`` where
+   checkpoint) on the per-node stepper, exactly as the fast engine
+   does, then forks one worker per shard — the workers inherit that
+   stepper through the copied address space;
+2. each round, the parent sends ``("step", r, ghosts)`` where
    ``ghosts`` are the boundary publishes committed at the previous
    barrier, routed through the partition's ghost-consumer map;
-3. each worker steps its owned vertices (crash/drop/duplicate/corrupt
-   decisions recomputed shard-locally from the placement-independent
-   splitmix64 hashes), runs its local dirty-commit pass, and replies
-   with its activity counts, its next wake round, its boundary
-   publishes, and (when observing) its batch segment;
-4. the parent sums the counts, takes the global bulk-skip as the
-   minimum over shard wake rounds, merges the per-shard batch segments
-   into one :class:`~repro.obs.RoundBatch` in canonical vertex order,
-   and routes the boundary values for the next barrier.
+3. each worker runs the per-node stepper over its owned vertices
+   (crash/drop/duplicate/corrupt decisions recomputed shard-locally
+   from the placement-independent splitmix64 hashes) and replies with
+   its activity counts, its next wake round, its boundary publishes,
+   and (when observing) its batch segment;
+4. the parent sums the counts, takes the next wake round as the
+   minimum over shards, merges the per-shard batch segments into one
+   :class:`~repro.obs.RoundBatch` in canonical vertex order, and
+   routes the boundary values for the next barrier.
 
 Determinism contract: the RunResult *and* the JSONL trace bytes equal
 the serial fast engine's for every driver, every shard count, and
@@ -47,6 +47,7 @@ from typing import (
     Dict,
     Iterator,
     List,
+    NoReturn,
     Optional,
     Sequence,
     Tuple,
@@ -54,33 +55,29 @@ from typing import (
 
 from ...core.engine import (
     DEFAULT_MAX_ROUNDS,
+    NodeStepper,
     RoundTrace,
-    RunMeta,
     RunResult,
-    SETUP_ROUND,
+    Stepper,
     _attached_observers,
-    _Clock,
     _run_local_fast,
-    _run_setup,
-    active_fault_plan,
     build_contexts,
-    flat_adjacency,
+    run_rounds,
+    start_run,
 )
-from ...core.errors import ReproError, SimulationError
+from ...core.errors import ReproError
 from ...graphs.graph import Graph
 from ...obs.observer import RoundBatch
 from .partition import (
     CONTIGUOUS,
-    PARTITION_MODES,
     Partition,
+    check_partition,
     partition_graph,
 )
-from .worker import CRASH_MARKER, shard_worker
+from .worker import CRASH_MARKER, SegmentRecorder, shard_worker
 
-#: Environment knobs (the CLI's ``--shards`` writes the first one).
+#: Shard-count environment variable (the CLI's ``--shards`` writes it).
 SHARDS_ENV_VAR = "REPRO_SHARDS"
-SHARD_MODE_ENV_VAR = "REPRO_SHARD_MODE"
-SHARD_SEED_ENV_VAR = "REPRO_SHARD_SEED"
 
 #: Shard count used when neither :func:`use_shards` nor the
 #: environment says otherwise.
@@ -105,6 +102,9 @@ class ShardConfig:
     mode: str
     seed: int
 
+    def __post_init__(self) -> None:
+        check_partition(self.n_shards, self.mode)
+
 
 _AMBIENT_CONFIG: Optional[ShardConfig] = None
 
@@ -115,12 +115,12 @@ def use_shards(
 ) -> Iterator[None]:
     """Pin the sharded backend's partition for every run in scope.
 
-    Takes precedence over the ``REPRO_SHARDS`` family of environment
-    variables; scopes nest (innermost wins) and the previous
-    configuration is restored on exit even when the run raises.
+    The only way to choose the placement ``mode`` and ``seed``; takes
+    precedence over the ``REPRO_SHARDS`` environment variable.  Scopes
+    nest (innermost wins) and the previous configuration is restored
+    on exit even when the run raises.
     """
     config = ShardConfig(n_shards=n_shards, mode=mode, seed=seed)
-    _validate_config(config)
     global _AMBIENT_CONFIG
     previous = _AMBIENT_CONFIG
     _AMBIENT_CONFIG = config
@@ -130,25 +130,12 @@ def use_shards(
         _AMBIENT_CONFIG = previous
 
 
-def _validate_config(config: ShardConfig) -> None:
-    if config.n_shards < 1:
-        raise ReproError(
-            f"shard count must be a positive integer, "
-            f"got {config.n_shards}"
-        )
-    if config.mode not in PARTITION_MODES:
-        raise ReproError(
-            f"unknown partition mode {config.mode!r}; "
-            f"expected one of {', '.join(PARTITION_MODES)}"
-        )
-
-
 def current_shard_config() -> ShardConfig:
     """The sharding parameters the next sharded run will use.
 
-    Precedence: the innermost :func:`use_shards` scope, then the
-    ``REPRO_SHARDS`` / ``REPRO_SHARD_MODE`` / ``REPRO_SHARD_SEED``
-    environment variables, then ``DEFAULT_SHARD_COUNT`` contiguous.
+    Precedence: the innermost :func:`use_shards` scope, then a
+    contiguous partition into ``REPRO_SHARDS`` shards, then
+    ``DEFAULT_SHARD_COUNT`` contiguous shards.
     """
     if _AMBIENT_CONFIG is not None:
         return _AMBIENT_CONFIG
@@ -163,17 +150,7 @@ def current_shard_config() -> ShardConfig:
                 f"{SHARDS_ENV_VAR} must be a positive integer, "
                 f"got {raw!r}"
             ) from None
-    mode = os.environ.get(SHARD_MODE_ENV_VAR, CONTIGUOUS)
-    raw_seed = os.environ.get(SHARD_SEED_ENV_VAR)
-    try:
-        seed = int(raw_seed) if raw_seed is not None else 0
-    except ValueError:
-        raise ReproError(
-            f"{SHARD_SEED_ENV_VAR} must be an integer, got {raw_seed!r}"
-        ) from None
-    config = ShardConfig(n_shards=n_shards, mode=mode, seed=seed)
-    _validate_config(config)
-    return config
+    return ShardConfig(n_shards=n_shards, mode=CONTIGUOUS, seed=0)
 
 
 #: Live worker pids of the most recently started coordinator — the
@@ -187,59 +164,31 @@ def active_worker_pids() -> Tuple[int, ...]:
     return _ACTIVE_PIDS
 
 
-class _ShardedState:
-    """Checkpoint handle for the sharded backend.
+class _ShardStepper(Stepper):
+    """The shard-exchange stepper: one round is one barrier (steps 1-4
+    of the module docstring).  ``node`` is the parent's per-node
+    stepper; :meth:`schedule` forks the workers once a vertex is live."""
 
-    Deliberately *not* a subclass of the engine's ``_ScalarState``:
-    the registered capture/restore capability dispatches on that type
-    to route fallback runs, so the sharded handle must stay distinct.
-    It carries the same attribute shape (``contexts`` / ``faults`` /
-    ``rounds`` / ``messages`` / ``traces``) plus the live coordinator,
-    which gathers the authoritative per-vertex state from the workers
-    at capture time.
-    """
+    backend_info = ("sharded", None)
 
-    __slots__ = (
-        "contexts",
-        "faults",
-        "rounds",
-        "messages",
-        "traces",
-        "coordinator",
-    )
-
-    def __init__(
-        self, contexts: List[Any], faults: Optional[Any]
-    ) -> None:
-        self.contexts = contexts
-        self.faults = faults
-        self.rounds = 0
-        self.messages = 0
-        self.traces: List[RoundTrace] = []
-        self.coordinator: Optional[_ShardCoordinator] = None
-
-
-class _ShardCoordinator:
-    """Owns the worker processes and the barrier protocol."""
-
-    def __init__(
-        self,
-        part: Partition,
-        contexts: List[Any],
-        visible: List[Any],
-        offsets: List[int],
-        targets: List[int],
-        algorithm: Any,
-        clock: _Clock,
-        faults: Optional[Any],
-        observing: bool,
-        start_round: int,
-    ) -> None:
+    def __init__(self, node: NodeStepper, part: Partition) -> None:
+        self.node = node
         self.part = part
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise ReproError(
-                "the sharded backend requires the 'fork' start method"
-            )
+        self.conns: List[Any] = []
+        self.procs: List[Any] = []
+        self.runnable = 0
+        self.parked = 0
+        self.next_wake: Optional[int] = None
+        #: Round boundary reached by the last barrier.
+        self.rounds = 0
+        self.ghosts: List[List[Tuple[int, Any]]] = [
+            [] for _ in range(part.n_shards)
+        ]
+        self.segments: List[List[Tuple[int, str, Any]]] = []
+
+    # -- the workers and the barrier -------------------------------------
+    def _fork(self, start_round: int) -> None:
+        part = self.part
         mp = multiprocessing.get_context("fork")
         # All pipes are created before any worker starts, so every
         # worker can close every inherited end that is not its own —
@@ -248,7 +197,6 @@ class _ShardCoordinator:
         pairs = [mp.Pipe(duplex=True) for _ in range(part.n_shards)]
         self.conns = [parent_end for parent_end, _ in pairs]
         child_ends = [child_end for _, child_end in pairs]
-        self.procs = []
         for s in range(part.n_shards):
             siblings = [
                 end for t, end in enumerate(child_ends) if t != s
@@ -261,14 +209,7 @@ class _ShardCoordinator:
                     s,
                     part.shards[s],
                     part.consumers,
-                    contexts,
-                    visible,
-                    offsets,
-                    targets,
-                    algorithm,
-                    clock,
-                    faults,
-                    observing,
+                    self.node,
                     start_round,
                 ),
                 daemon=True,
@@ -283,30 +224,49 @@ class _ShardCoordinator:
             proc.pid for proc in self.procs if proc.pid is not None
         )
 
-    # -- the barrier ---------------------------------------------------
-    def step(
-        self,
-        rounds: int,
-        ghosts: List[List[Tuple[int, Any]]],
-    ) -> List[Dict[str, Any]]:
-        """One synchronized round: broadcast, then gather every reply."""
-        for s, conn in enumerate(self.conns):
+    def _exchange(self, rounds: int, requests: Sequence[Any]) -> List[Any]:
+        """Send each shard its request, then read every reply.
+
+        When shards fail, every reply is still read, and the error of
+        the lowest failing vertex is raised: the one the serial
+        engines' ascending scan reaches first.
+        """
+        for s, request in enumerate(requests):
             try:
-                conn.send(("step", rounds, ghosts[s]))
+                self.conns[s].send(request)
             except (BrokenPipeError, OSError) as exc:
                 self._death(s, rounds, exc)
-        return [self._recv(s, rounds) for s in range(len(self.conns))]
+        replies = []
+        failed = []
+        for s, conn in enumerate(self.conns):
+            try:
+                message = conn.recv()
+            except (EOFError, OSError) as exc:
+                self._death(s, rounds, exc)
+            if message[0] == "error":
+                vertex = message[2]
+                failed.append(
+                    (len(self.part.owner) if vertex is None else vertex, s)
+                )
+            replies.append(message[1])
+        if failed:
+            raise replies[min(failed)[1]]
+        return replies
 
-    def _recv(self, s: int, rounds: int) -> Any:
-        try:
-            message = self.conns[s].recv()
-        except (EOFError, OSError) as exc:
-            self._death(s, rounds, exc)
-        if message[0] == "error":
-            raise message[1]
-        return message[1]
+    def _gather(
+        self, rounds: int, command: str
+    ) -> Tuple[List[Any], List[Any]]:
+        """Ask every shard for its per-vertex items: returns them in
+        vertex order, and each shard's extra reply value."""
+        part = self.part
+        items: List[Any] = [None] * len(part.owner)
+        replies = self._exchange(rounds, [(command,)] * part.n_shards)
+        for s, (shard_items, _) in enumerate(replies):
+            for v, item in zip(part.shards[s], shard_items):
+                items[v] = item
+        return items, [extra for _, extra in replies]
 
-    def _death(self, s: int, rounds: int, exc: BaseException) -> None:
+    def _death(self, s: int, rounds: int, exc: BaseException) -> NoReturn:
         proc = self.procs[s]
         proc.join(timeout=1.0)
         raise WorkerCrashError(
@@ -315,73 +275,7 @@ class _ShardCoordinator:
             f"continue — resume from the latest checkpoint to recover"
         ) from exc
 
-    # -- checkpoint capture -------------------------------------------
-    def capture(self, state: _ShardedState) -> Dict[str, Any]:
-        """Gather a ``"scalar"``-format snapshot from the workers.
-
-        Each worker owns its vertices' authoritative contexts (and the
-        receiver-keyed slice of the duplicate-delivery buffer), so the
-        merge in vertex order reproduces exactly what the serial
-        engines' ``_capture_scalar_state`` would record — which is why
-        a sharded snapshot resumes at any shard count, or on any other
-        backend.
-        """
-        for s, conn in enumerate(self.conns):
-            try:
-                conn.send(("capture",))
-            except (BrokenPipeError, OSError) as exc:
-                self._death(s, state.rounds, exc)
-        n = len(state.contexts)
-        nodes: List[Any] = [None] * n
-        merged_last: Dict[Tuple[int, int], Any] = {}
-        have_last = False
-        owner = self.part.owner
-        for s in range(len(self.conns)):
-            shard_nodes, fault_last = self._recv(s, state.rounds)
-            for v, snap in zip(self.part.shards[s], shard_nodes):
-                nodes[v] = snap
-            if fault_last is not None:
-                # Every worker inherited the full (restored) buffer;
-                # only the entries keyed by a vertex this shard owns
-                # are authoritative.
-                have_last = True
-                for key, value in fault_last.items():
-                    if owner[key[0]] == s:
-                        merged_last[key] = value
-        return {
-            "format": "scalar",
-            "rounds": state.rounds,
-            "messages": state.messages,
-            "traces": list(state.traces),
-            "nodes": nodes,
-            "fault_last": merged_last if have_last else None,
-        }
-
-    # -- run completion ------------------------------------------------
-    def finish(
-        self, n: int, rounds: int
-    ) -> Tuple[List[Any], Dict[int, str]]:
-        """Collect every shard's outputs and failures, vertex-ordered."""
-        for s, conn in enumerate(self.conns):
-            try:
-                conn.send(("finish",))
-            except (BrokenPipeError, OSError) as exc:
-                self._death(s, rounds, exc)
-        outputs: List[Any] = [None] * n
-        failure_by_vertex: List[Optional[str]] = [None] * n
-        for s in range(len(self.conns)):
-            pairs = self._recv(s, rounds)
-            for v, (output, failure) in zip(self.part.shards[s], pairs):
-                outputs[v] = output
-                failure_by_vertex[v] = failure
-        failures = {
-            v: reason
-            for v, reason in enumerate(failure_by_vertex)
-            if reason
-        }
-        return outputs, failures
-
-    def shutdown(self) -> None:
+    def close(self) -> None:
         for conn in self.conns:
             try:
                 conn.send(("exit",))
@@ -398,104 +292,154 @@ class _ShardCoordinator:
                 conn.close()
             except Exception:  # pragma: no cover
                 pass
+        self.conns = []
+        self.procs = []
         global _ACTIVE_PIDS
         _ACTIVE_PIDS = ()
 
+    # -- the stepper -----------------------------------------------------
+    def setup(self) -> bool:
+        self.node.setup()
+        recorder = self.node.hub
+        if recorder is not None:
+            # The setup pass's events, recorded in the parent.
+            self.segments = [recorder.drain()]
+        return True
 
-class _SetupRecorder:
-    """Captures the setup pass's observable events (publish / failure /
-    halt, per vertex ascending) so the parent can synthesize the same
-    setup batch the scalar shim assembles — ``_run_setup`` only ever
-    calls these three hub methods."""
+    def restore(self, payload: Dict[str, Any]) -> None:
+        self.node.restore(payload)
 
-    __slots__ = ("publishes", "halts", "failures")
+    def capture(
+        self, rounds: int, messages: int, traces: List[RoundTrace]
+    ) -> Dict[str, Any]:
+        """A ``"scalar"``-format snapshot gathered from the workers.
 
-    def __init__(self) -> None:
-        self.publishes: List[Tuple[int, Any]] = []
-        self.halts: List[Tuple[int, Any]] = []
-        self.failures: List[Tuple[int, str]] = []
+        Each worker owns its vertices' authoritative contexts (and the
+        receiver-keyed slice of the duplicate-delivery buffer), so the
+        merge in vertex order reproduces exactly what the serial
+        engines record — which is why a sharded snapshot resumes at any
+        shard count, or on any other backend.
+        """
+        nodes, shard_lasts = self._gather(rounds, "capture")
+        merged_last: Optional[Dict[Tuple[int, int], Any]] = None
+        for s, fault_last in enumerate(shard_lasts):
+            if fault_last is not None:
+                # Every worker inherited the full (restored) buffer;
+                # only the entries keyed by a vertex this shard owns
+                # are authoritative.
+                if merged_last is None:
+                    merged_last = {}
+                for key, value in fault_last.items():
+                    if self.part.owner[key[0]] == s:
+                        merged_last[key] = value
+        return {
+            "format": "scalar",
+            "rounds": rounds,
+            "messages": messages,
+            "traces": list(traces),
+            "nodes": nodes,
+            "fault_last": merged_last,
+        }
 
-    def publish(self, round_index: int, vertex: int, value: Any) -> None:
-        self.publishes.append((vertex, value))
+    def schedule(self, rounds: int) -> None:
+        node = self.node
+        node.schedule(rounds)
+        self.runnable = len(node.runnable)
+        self.parked = node.parked
+        self.next_wake = min(node.buckets, default=None)
+        self.rounds = rounds
+        if self.runnable or self.parked:
+            self._fork(rounds)
 
-    def failure(
-        self, round_index: int, vertex: int, reason: str
-    ) -> None:
-        self.failures.append((vertex, reason))
+    def active(self) -> int:
+        return self.runnable + self.parked
 
-    def halt(self, round_index: int, vertex: int, output: Any) -> None:
-        self.halts.append((vertex, output))
+    def wake(self, rounds: int) -> Optional[int]:
+        next_wake = self.next_wake
+        if not self.runnable and next_wake is not None and next_wake > rounds:
+            return next_wake
+        return None
 
-    def setup_batch(self) -> RoundBatch:
+    def step(self, rounds: int) -> Tuple[int, int]:
+        consumers = self.part.consumers
+        replies = self._exchange(
+            rounds, [("step", rounds, ghosts) for ghosts in self.ghosts]
+        )
+        self.ghosts = [[] for _ in range(self.part.n_shards)]
+        awake = halted = runnable = parked = 0
+        wakes: List[int] = []
+        for reply in replies:
+            awake += reply["awake"]
+            halted += reply["halted"]
+            runnable += reply["runnable"]
+            parked += reply["parked"]
+            if reply["next_wake"] is not None:
+                wakes.append(reply["next_wake"])
+            for v, value in reply["boundary"]:
+                for s in consumers[v]:
+                    self.ghosts[s].append((v, value))
+        self.runnable = runnable
+        self.parked = parked
+        self.next_wake = min(wakes, default=None)
+        self.rounds = rounds + 1
+        if self.node.hub is not None:
+            self.segments = [reply["batch"] for reply in replies]
+        return awake, halted
+
+    def round_batch(
+        self,
+        round_index: int,
+        active: int,
+        awake: int,
+        halted: int,
+        messages: int,
+    ) -> RoundBatch:
+        """Merge the shards' batch segments in canonical vertex order.
+
+        Each segment lists its events ascending over a disjoint vertex
+        set, so a stable sort by vertex both interleaves the shards and
+        preserves every vertex's own event order (a vertex's delivery
+        faults, in port order, all live in one segment).  Crash markers
+        are materialized here into the parent's own
+        :class:`~repro.core.errors.CrashStopFault` events — the parent
+        activated the identical plan, and the event's ``run_meta``
+        carries the graph handle, which never crosses a pipe.
+        """
+        events = [event for segment in self.segments for event in segment]
+        events.sort(key=lambda event: event[0])
+        columns: Dict[str, List[Tuple[int, Any]]] = {
+            kind: [] for kind in ("step", "publish", "halt", "failure", "fault")
+        }
+        for v, kind, value in events:
+            if kind == "fault" and value is CRASH_MARKER:
+                value = self.node.faults.crash_event(round_index, v)
+            columns[kind].append((v, value))
         return RoundBatch(
-            SETUP_ROUND,
-            published=[v for v, _ in self.publishes],
-            publish_values=[value for _, value in self.publishes],
-            halted_verts=[v for v, _ in self.halts],
-            halt_values=[value for _, value in self.halts],
-            failed=[v for v, _ in self.failures],
-            fail_reasons=[reason for _, reason in self.failures],
+            round_index,
+            active=active,
+            awake=awake,
+            halted=halted,
+            messages=messages,
+            stepped=[v for v, _ in columns["step"]],
+            published=[v for v, _ in columns["publish"]],
+            publish_values=[value for _, value in columns["publish"]],
+            halted_verts=[v for v, _ in columns["halt"]],
+            halt_values=[value for _, value in columns["halt"]],
+            failed=[v for v, _ in columns["failure"]],
+            fail_reasons=[reason for _, reason in columns["failure"]],
+            faults=columns["fault"],
         )
 
-
-def _merge_round_batch(
-    rounds: int,
-    active: int,
-    awake: int,
-    halted: int,
-    messages: int,
-    segments: Sequence[Tuple[Any, ...]],
-    faults: Optional[Any],
-) -> RoundBatch:
-    """Merge per-shard batch segments in canonical vertex order.
-
-    Each segment's columns are ascending over a disjoint vertex set, so
-    a stable sort by vertex both interleaves the shards and preserves
-    every vertex's intra-column event order (a vertex's delivery
-    faults, in port order, all live in one segment).  Crash markers are
-    materialized here into the parent's own
-    :class:`~repro.core.errors.CrashStopFault` events — the parent
-    activated the identical plan, and the event's ``run_meta`` carries
-    the graph handle, which never crosses a pipe.
-    """
-    stepped: List[int] = []
-    publishes: List[Tuple[int, Any]] = []
-    halts: List[Tuple[int, Any]] = []
-    failures: List[Tuple[int, str]] = []
-    fault_entries: List[Tuple[int, Any]] = []
-    for segment in segments:
-        seg_stepped, seg_pub, seg_halt, seg_fail, seg_fault = segment
-        stepped.extend(seg_stepped)
-        publishes.extend(seg_pub)
-        halts.extend(seg_halt)
-        failures.extend(seg_fail)
-        fault_entries.extend(seg_fault)
-    stepped.sort()
-    publishes.sort(key=lambda pair: pair[0])
-    halts.sort(key=lambda pair: pair[0])
-    failures.sort(key=lambda pair: pair[0])
-    fault_entries.sort(key=lambda pair: pair[0])
-    fault_column: List[Tuple[int, Any]] = []
-    for v, event in fault_entries:
-        if event is CRASH_MARKER:
-            assert faults is not None
-            event = faults.crash_event(rounds, v)
-        fault_column.append((v, event))
-    return RoundBatch(
-        rounds,
-        active=active,
-        awake=awake,
-        halted=halted,
-        messages=messages,
-        stepped=stepped,
-        published=[v for v, _ in publishes],
-        publish_values=[value for _, value in publishes],
-        halted_verts=[v for v, _ in halts],
-        halt_values=[value for _, value in halts],
-        failed=[v for v, _ in failures],
-        fail_reasons=[reason for _, reason in failures],
-        faults=fault_column,
-    )
+    def finish(self) -> Tuple[List[Any], Dict[int, str]]:
+        if not self.procs:
+            # Zero live vertices after setup/restore: nothing was ever
+            # forked; the parent contexts are authoritative.
+            return self.node.finish()
+        pairs, _ = self._gather(self.rounds, "finish")
+        failures = {
+            v: failure for v, (_, failure) in enumerate(pairs) if failure
+        }
+        return [output for output, _ in pairs], failures
 
 
 def run_local_sharded(
@@ -516,314 +460,67 @@ def run_local_sharded(
     checkpoint: Optional[Any] = None,
 ) -> RunResult:
     """Entry point of the ``"sharded"`` backend (same signature and
-    same RunResult as every other backend)."""
-    config = current_shard_config()
+    same RunResult as every other backend).
 
-    def fall_back() -> RunResult:
-        # The checkpoint session rides along: the fallback decision is
-        # deterministic for a fixed configuration, so a resumed run
-        # falls back exactly when the interrupted run did and the
-        # per-node engine consumes the (scalar-format) snapshot.
-        return _run_local_fast(
+    Runs the fast engine instead when a per-event observer is attached
+    (it needs per-node stepping in one process), when the ``fork``
+    start method is unavailable, or inside a daemonic pool worker
+    (resilient sweeps), which may not fork children of its own.
+    """
+    config = current_shard_config()
+    attached = _attached_observers(observers)
+    if (
+        all(getattr(obs, "batch_capable", False) for obs in attached)
+        and "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon
+    ):
+        contexts = build_contexts(
             graph,
-            algorithm,
             model,
             ids=ids,
             seed=seed,
             node_inputs=node_inputs,
             global_params=global_params,
-            max_rounds=max_rounds,
             rng_factory=rng_factory,
             allow_duplicate_ids=allow_duplicate_ids,
+        )
+        meta, faults = start_run(
+            graph, algorithm, model, max_rounds, seed, fault_plan
+        )
+        recorder = SegmentRecorder() if attached else None
+        stepper = _ShardStepper(
+            NodeStepper(graph, algorithm, contexts, faults, recorder),
+            partition_graph(
+                graph, config.n_shards, mode=config.mode, seed=config.seed
+            ),
+        )
+        result = run_rounds(
+            stepper,
+            meta,
+            faults,
+            attached,
             trace=trace,
-            observers=observers,
-            fault_plan=fault_plan,
             checkpoint=checkpoint,
         )
-
-    attached = _attached_observers(observers)
-    if attached and not all(
-        getattr(obs, "batch_capable", False) for obs in attached
-    ):
-        # Legacy per-event observers need per-node stepping in one
-        # process; batch-capable ones consume the merged
-        # ``on_round_batch`` deliveries and keep the run sharded.
-        return fall_back()
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return fall_back()
-    if multiprocessing.current_process().daemon:
-        # Daemonic pool workers (resilient sweeps) may not fork
-        # children of their own; the per-node engine is bit-identical.
-        return fall_back()
-    observing = bool(attached)
-
-    contexts = build_contexts(
+        assert result is not None  # the shard stepper never declines
+        return result
+    # The checkpoint session rides along: the fallback decision is
+    # deterministic for a fixed configuration, so a resumed run falls
+    # back exactly when the interrupted run did and the per-node engine
+    # consumes the (scalar-format) snapshot.
+    return _run_local_fast(
         graph,
+        algorithm,
         model,
         ids=ids,
         seed=seed,
         node_inputs=node_inputs,
         global_params=global_params,
+        max_rounds=max_rounds,
         rng_factory=rng_factory,
         allow_duplicate_ids=allow_duplicate_ids,
+        trace=trace,
+        observers=observers,
+        fault_plan=fault_plan,
+        checkpoint=checkpoint,
     )
-    n = graph.num_vertices
-    meta = RunMeta(
-        algorithm=algorithm.name,
-        model=model,
-        n=n,
-        num_edges=graph.num_edges,
-        max_degree=graph.max_degree,
-        max_rounds=max_rounds,
-        seed=seed,
-        graph=graph,
-    )
-    plan = fault_plan if fault_plan is not None else active_fault_plan()
-    faults = plan.activate(meta) if plan is not None else None
-    clock = _Clock()
-    state = _ShardedState(contexts, faults)
-    part = partition_graph(
-        graph, config.n_shards, mode=config.mode, seed=config.seed
-    )
-    resumed = (
-        checkpoint.engine_payload("scalar")
-        if checkpoint is not None
-        else None
-    )
-    coordinator: Optional[_ShardCoordinator] = None
-    rounds = 0
-    messages = 0
-    try:
-        if resumed is not None:
-            # Resume: the snapshot replaces run_start + setup — the
-            # restored observers already emitted those events in the
-            # interrupted process, and restored contexts already carry
-            # their post-setup state.
-            checkpoint.restore_engine(state, resumed)
-            for ctx in contexts:
-                ctx._clock = clock
-            clock.now = state.rounds
-        else:
-            recorder = _SetupRecorder() if observing else None
-            _run_setup(contexts, algorithm, clock, recorder)
-            if observing:
-                # Observable events start only after setup succeeded,
-                # in the vectorized backend's order: run_start, the
-                # backend announcement, then the setup batch.
-                for obs in attached:
-                    obs.on_run_start(meta)
-                for obs in attached:
-                    obs.on_backend_info("sharded", None)
-                assert recorder is not None
-                setup_batch = recorder.setup_batch()
-                for obs in attached:
-                    obs.on_round_batch(setup_batch)
-
-        visible: List[Any] = [ctx._pub for ctx in contexts]
-        offsets, targets = flat_adjacency(graph)
-
-        rounds = state.rounds
-        messages = state.messages
-        messages_per_round = 2 * graph.num_edges
-        traces: List[RoundTrace] = state.traces
-
-        # Global scheduling counts; the per-shard wake buckets live in
-        # the workers, the parent only tracks their aggregates.
-        runnable_total = 0
-        parked_total = 0
-        wakes: List[int] = []
-        for ctx in contexts:
-            if ctx.halted:
-                continue
-            wake = ctx._wake_round
-            if wake is not None and wake > rounds:
-                parked_total += 1
-                wakes.append(wake)
-            else:
-                runnable_total += 1
-        next_wake: Optional[int] = min(wakes) if wakes else None
-
-        budget = faults.budget if faults is not None else None
-
-        if runnable_total or parked_total:
-            coordinator = _ShardCoordinator(
-                part,
-                contexts,
-                visible,
-                offsets,
-                targets,
-                algorithm,
-                clock,
-                faults,
-                observing,
-                rounds,
-            )
-            state.coordinator = coordinator
-
-        pending: List[List[Tuple[int, Any]]] = [
-            [] for _ in range(part.n_shards)
-        ]
-        while runnable_total or parked_total:
-            if checkpoint is not None and checkpoint.due(rounds):
-                state.rounds = rounds
-                state.messages = messages
-                checkpoint.save(state, rounds)
-            if budget is not None and rounds >= budget:
-                budget_error = faults.budget_error(rounds)
-                if observing:
-                    # Run-level fault: delivered immediately (never
-                    # part of a batch), exactly like the scalar
-                    # engines' vertex-None ``on_fault`` before the
-                    # raise.
-                    for obs in attached:
-                        obs.on_run_fault(rounds, budget_error)
-                raise budget_error
-            if rounds >= max_rounds:
-                raise SimulationError(
-                    f"{algorithm.name!r} exceeded {max_rounds} rounds "
-                    f"on n={n} (likely non-terminating)",
-                    round=rounds,
-                    run_meta=meta,
-                )
-            if (
-                runnable_total == 0
-                and next_wake is not None
-                and next_wake > rounds
-            ):
-                # Every live vertex sleeps on every shard: the global
-                # bulk-skip is the minimum over shard wake rounds
-                # (clamped by max_rounds and any injected budget),
-                # with the same synthesized trace entries and empty
-                # round batches the serial engines emit.
-                skip_to = min(next_wake, max_rounds)
-                if budget is not None and budget < skip_to:
-                    skip_to = budget
-                skip = skip_to - rounds
-                if trace:
-                    traces.extend(
-                        RoundTrace(active=parked_total, awake=0, halted=0)
-                        for _ in range(skip)
-                    )
-                if observing:
-                    for r in range(rounds, rounds + skip):
-                        empty = RoundBatch(
-                            r,
-                            active=parked_total,
-                            messages=messages_per_round,
-                        )
-                        for obs in attached:
-                            obs.on_round_batch(empty)
-                rounds += skip
-                messages += skip * messages_per_round
-                continue
-            assert coordinator is not None
-            replies = coordinator.step(rounds, pending)
-            pending = [[] for _ in range(part.n_shards)]
-            active_now = 0
-            awake_now = 0
-            halted_this_round = 0
-            runnable_total = 0
-            parked_total = 0
-            shard_wakes: List[int] = []
-            for reply in replies:
-                active_now += reply["active"]
-                awake_now += reply["awake"]
-                halted_this_round += reply["halted"]
-                runnable_total += reply["runnable"]
-                parked_total += reply["parked"]
-                if reply["next_wake"] is not None:
-                    shard_wakes.append(reply["next_wake"])
-                for v, value in reply["boundary"]:
-                    for s in part.consumers[v]:
-                        pending[s].append((v, value))
-            next_wake = min(shard_wakes) if shard_wakes else None
-            if trace:
-                traces.append(
-                    RoundTrace(
-                        active=active_now,
-                        awake=awake_now,
-                        halted=halted_this_round,
-                    )
-                )
-            if observing:
-                batch = _merge_round_batch(
-                    rounds,
-                    active_now,
-                    awake_now,
-                    halted_this_round,
-                    messages_per_round,
-                    [reply["batch"] for reply in replies],
-                    faults,
-                )
-                for obs in attached:
-                    obs.on_round_batch(batch)
-            rounds += 1
-            messages += messages_per_round
-
-        if coordinator is not None:
-            outputs, failures = coordinator.finish(n, rounds)
-        else:
-            # Zero live vertices after setup/restore: nothing was ever
-            # forked; the parent contexts are authoritative.
-            outputs = [ctx.output for ctx in contexts]
-            failures = {
-                v: ctx.failure
-                for v, ctx in enumerate(contexts)
-                if ctx.failure
-            }
-    except BaseException as exc:
-        # The run died mid-flight (algorithm exception surfaced from a
-        # worker, injected budget, a killed worker): give buffering
-        # observers one flush so partial runs keep their telemetry,
-        # then keep propagating.
-        if observing:
-            for obs in attached:
-                obs.on_run_abort(rounds, exc)
-        raise
-    finally:
-        if coordinator is not None:
-            state.coordinator = None
-            coordinator.shutdown()
-
-    result = RunResult(
-        outputs=outputs,
-        rounds=rounds,
-        messages=messages,
-        failures=failures,
-        trace=traces,
-    )
-    if observing:
-        for obs in attached:
-            obs.on_run_end(result)
-    return result
-
-
-def capture_sharded_state(handle: _ShardedState) -> Dict[str, Any]:
-    """The ``"sharded"`` backend's checkpoint capture capability.
-
-    Snapshots are written in the ``"scalar"`` format: resumable at any
-    shard count and on any scalar-compatible backend.
-    """
-    coordinator = handle.coordinator
-    if coordinator is not None:
-        return coordinator.capture(handle)
-    # Pre-fork (or post-shutdown) capture: the parent contexts are
-    # authoritative — identical merge, no pipes involved.
-    from ...core.engine import _capture_scalar_state
-
-    result: Dict[str, Any] = _capture_scalar_state(handle)  # type: ignore[arg-type]
-    return result
-
-
-def restore_sharded_state(
-    handle: _ShardedState, payload: Dict[str, Any]
-) -> None:
-    """The ``"sharded"`` backend's checkpoint restore capability.
-
-    Restores happen in the parent before the workers are forked, so
-    the engine's scalar restore applies verbatim (the handle carries
-    the same attribute shape).
-    """
-    from ...core.engine import _restore_scalar_state
-
-    _restore_scalar_state(handle, payload)  # type: ignore[arg-type]

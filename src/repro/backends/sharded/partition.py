@@ -73,6 +73,19 @@ class Partition:
         return tuple(sorted(self.consumers))
 
 
+def check_partition(n_shards: int, mode: str) -> None:
+    """Reject a shard count below 1 or an unknown placement mode."""
+    if n_shards < 1:
+        raise ReproError(
+            f"shard count must be a positive integer, got {n_shards}"
+        )
+    if mode not in PARTITION_MODES:
+        raise ReproError(
+            f"unknown partition mode {mode!r}; "
+            f"expected one of {', '.join(PARTITION_MODES)}"
+        )
+
+
 def partition_graph(
     graph: Graph,
     n_shards: int,
@@ -87,15 +100,7 @@ def partition_graph(
     partitions (the property tests in ``tests/test_sharded.py`` pin
     this).
     """
-    if n_shards < 1:
-        raise ReproError(
-            f"shard count must be a positive integer, got {n_shards}"
-        )
-    if mode not in PARTITION_MODES:
-        raise ReproError(
-            f"unknown partition mode {mode!r}; "
-            f"expected one of {', '.join(PARTITION_MODES)}"
-        )
+    check_partition(n_shards, mode)
     n = graph.num_vertices
     if mode == CONTIGUOUS:
         owner = tuple(v * n_shards // n for v in range(n)) if n else ()

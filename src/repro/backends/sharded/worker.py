@@ -2,16 +2,17 @@
 
 Each worker is forked by the coordinator *after* the parent has built
 every :class:`~repro.core.context.NodeContext` and completed the setup
-pass (or restored a checkpoint), so the worker inherits the contexts,
-the CSR adjacency, the algorithm, and the activated
-:class:`~repro.faults.runtime.FaultRuntime` through the copied address
-space — nothing is pickled at startup (the shared read-only
-``ctx.globals`` mapping could not be).
+pass (or restored a checkpoint), so the worker inherits the parent's
+:class:`~repro.core.engine.NodeStepper` — contexts, CSR adjacency,
+algorithm, and the activated :class:`~repro.faults.runtime.FaultRuntime`
+— through the copied address space: nothing is pickled at startup (the
+shared read-only ``ctx.globals`` mapping could not be).
 
-From then on the worker owns its shard's slice of the run exclusively:
+From then on the worker runs that same per-node stepper over the
+vertices its shard owns:
 
 - it steps only its owned vertices, reading inboxes from its private
-  ``visible`` list (kept current for owned vertices by its own
+  ``visible`` list (kept current for owned vertices by the stepper's
   dirty-commit pass, and for foreign *neighbor* vertices by the ghost
   updates the coordinator routes in with each ``step`` command);
 - fault decisions are recomputed shard-locally: crash selection was
@@ -20,35 +21,74 @@ From then on the worker owns its shard's slice of the run exclusively:
   port, stream)`` — placement-independent by construction.  The stale
   duplicate buffer is keyed by the *receiving* vertex and port, so it
   too is owned entirely by one shard;
-- wake-bucket bulk-skip state stays local: each barrier reply reports
-  the shard's next wake round so the coordinator can compute the
-  global skip as the minimum over shards.
+- wake buckets stay local: each barrier reply reports the shard's next
+  wake round so the coordinator can compute the global skip as the
+  minimum over shards.
 
 Protocol (pickled tuples over a duplex pipe; one request, one reply):
 
 - ``("step", round, ghosts)`` -> ``("ok", reply_dict)``
 - ``("capture",)`` -> ``("ok", (node_snapshots, fault_last))``
-- ``("finish",)`` -> ``("ok", [(output, failure), ...])``
+- ``("finish",)`` -> ``("ok", ([(output, failure), ...], None))``
 - ``("exit",)`` -> no reply; the worker leaves its loop.
 
 Any exception escaping a command handler is sent back as
-``("error", exc)`` (falling back to a picklable
+``("error", exc, vertex)`` — ``vertex`` is the owned vertex whose step
+raised, or None — falling back to a picklable
 :class:`~repro.core.errors.ReproError` summary when the original
-exception cannot cross the pipe) and the worker exits; the coordinator
-re-raises it in the parent so the run fails exactly as the serial
-engines would.
+exception cannot cross the pipe, and the worker exits; the coordinator
+re-raises the error of the lowest failing vertex across shards, so the
+run fails exactly as the serial engines would.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from ...core.errors import ReproError
+from ...core.engine import NodeStepper, _capture_scalar_state, _ScalarState
+from ...core.errors import CrashStopFault, ReproError
 
 #: Batch-segment faults column marker for a crash-stop vertex; the
 #: coordinator substitutes the parent-side CrashStopFault (whose
 #: ``run_meta`` carries the graph handle — never shipped over a pipe).
 CRASH_MARKER = None
+
+
+class SegmentRecorder:
+    """The per-node stepper's observer hub on the sharded backend.
+
+    Records one shard's events of one round (or of the setup pass, in
+    the parent) as a batch segment: ``(vertex, kind, value)`` entries
+    in the stepper's ascending vertex order, which :meth:`drain` hands
+    over for the coordinator to merge into one
+    :class:`~repro.obs.RoundBatch`.
+    """
+
+    __slots__ = ("events",)
+
+    def __init__(self) -> None:
+        self.events: List[Tuple[int, str, Any]] = []
+
+    def drain(self) -> List[Tuple[int, str, Any]]:
+        events, self.events = self.events, []
+        return events
+
+    def node_step(self, round_index: int, vertex: int, ctx: Any) -> None:
+        self.events.append((vertex, "step", None))
+
+    def publish(self, round_index: int, vertex: int, value: Any) -> None:
+        self.events.append((vertex, "publish", value))
+
+    def halt(self, round_index: int, vertex: int, output: Any) -> None:
+        self.events.append((vertex, "halt", output))
+
+    def failure(self, round_index: int, vertex: int, reason: str) -> None:
+        self.events.append((vertex, "failure", reason))
+
+    def fault(self, round_index: int, vertex: int, fault: Any) -> None:
+        if isinstance(fault, CrashStopFault):
+            fault = CRASH_MARKER
+        self.events.append((vertex, "fault", fault))
 
 
 def shard_worker(
@@ -57,14 +97,7 @@ def shard_worker(
     shard_id: int,
     owned: Tuple[int, ...],
     consumers: Dict[int, Tuple[int, ...]],
-    contexts: List[Any],
-    visible: List[Any],
-    offsets: List[int],
-    targets: List[int],
-    algorithm: Any,
-    clock: Any,
-    faults: Optional[Any],
-    observing: bool,
+    stepper: NodeStepper,
     start_round: int,
 ) -> None:
     """Run one shard until ``exit`` (or the parent's death)."""
@@ -74,30 +107,10 @@ def shard_worker(
     for other in sibling_conns:
         other.close()
 
-    step = algorithm.step
-    deliver = (
-        faults.deliver
-        if faults is not None and faults.touches_messages
-        else None
-    )
-
-    # Rebuild the shard-local scheduling state from the inherited
-    # contexts, with the same rule the serial engines use at (re)start:
-    # strictly-later wake rounds park, everything else is runnable.
-    buckets: Dict[int, List[int]] = {}
-    parked = 0
-    runnable: List[int] = []
-    for v in owned:
-        ctx = contexts[v]
-        if ctx.halted:
-            continue
-        wake = ctx._wake_round
-        if wake is not None and wake > start_round:
-            buckets.setdefault(wake, []).append(v)
-            parked += 1
-        else:
-            runnable.append(v)
-
+    stepper.schedule(start_round, owned)
+    recorder = stepper.hub
+    visible = stepper.visible
+    contexts = stepper.contexts
     try:
         while True:
             message = conn.recv()
@@ -106,135 +119,40 @@ def shard_worker(
                 rounds = message[1]
                 for v, value in message[2]:
                     visible[v] = value
-                clock.now = rounds
-                due = buckets.pop(rounds, None)
-                if due:
-                    parked -= len(due)
-                    runnable.extend(due)
-                if observing:
-                    # Canonical vertex order, as the serial engines
-                    # schedule when observed; the merged batch columns
-                    # stay ascending per shard segment.
-                    runnable.sort()
-                active = len(runnable) + parked
-                awake = len(runnable)
-                halted_this_round = 0
-                dirty: List[int] = []
-                next_runnable: List[int] = []
-                stepped: List[int] = []
-                publishes: List[Tuple[int, Any]] = []
-                halts: List[Tuple[int, Any]] = []
-                failures: List[Tuple[int, str]] = []
-                fault_entries: List[Tuple[int, Any]] = []
-                for v in runnable:
-                    ctx = contexts[v]
-                    ctx._wake_round = None
-                    if faults is not None and faults.crashed(rounds, v):
-                        # Crash-stop, exactly as in the fast engine:
-                        # counts as awake + halted, never steps, and
-                        # its last published value stays visible.
-                        reason = faults.crash_reason(rounds)
-                        ctx.fail(reason)
-                        halted_this_round += 1
-                        if observing:
-                            fault_entries.append((v, CRASH_MARKER))
-                            failures.append((v, reason))
-                        continue
-                    lo = offsets[v]
-                    hi = offsets[v + 1]
-                    inbox = [visible[u] for u in targets[lo:hi]]
-                    if deliver is not None:
-                        events = deliver(rounds, v, inbox, observing)
-                        if events:
-                            fault_entries.extend(
-                                (v, event) for event in events
-                            )
-                    step(ctx, inbox)
-                    if ctx._pub_dirty:
-                        dirty.append(v)
-                    if ctx.halted:
-                        halted_this_round += 1
-                    else:
-                        wake = ctx._wake_round
-                        if wake is not None and wake > rounds + 1:
-                            buckets.setdefault(wake, []).append(v)
-                            parked += 1
-                        else:
-                            next_runnable.append(v)
-                    if observing:
-                        stepped.append(v)
-                        if ctx._pub_dirty:
-                            publishes.append((v, ctx._next_pub))
-                        if ctx.failure is not None:
-                            failures.append((v, ctx.failure))
-                        elif ctx.halted:
-                            halts.append((v, ctx.output))
-                # Shard-local dirty-commit pass (double buffering: no
-                # publish became visible before every step of this
-                # round, on any shard, returned — the barrier enforces
-                # the cross-shard half of that invariant).
-                boundary: List[Tuple[int, Any]] = []
-                for v in dirty:
-                    ctx = contexts[v]
-                    ctx._pub = ctx._next_pub
-                    ctx._pub_dirty = False
-                    visible[v] = ctx._pub
-                    if v in consumers:
-                        boundary.append((v, ctx._pub))
-                runnable = next_runnable
+                # The coordinator steps this round because some shard
+                # has a runnable vertex; this one may have none.
+                stepper.wake(rounds)
+                awake, halted = stepper.step(rounds)
                 reply: Dict[str, Any] = {
-                    "active": active,
                     "awake": awake,
-                    "halted": halted_this_round,
-                    "parked": parked,
-                    "runnable": len(runnable),
-                    "next_wake": min(buckets) if buckets else None,
-                    "boundary": boundary,
+                    "halted": halted,
+                    "parked": stepper.parked,
+                    "runnable": len(stepper.runnable),
+                    "next_wake": min(stepper.buckets, default=None),
+                    "boundary": [
+                        (v, visible[v])
+                        for v in stepper.dirty
+                        if v in consumers
+                    ],
                 }
-                if observing:
-                    reply["batch"] = (
-                        stepped,
-                        publishes,
-                        halts,
-                        failures,
-                        fault_entries,
-                    )
+                if recorder is not None:
+                    reply["batch"] = recorder.drain()
                 conn.send(("ok", reply))
             elif command == "capture":
-                nodes = []
-                for v in owned:
-                    ctx = contexts[v]
-                    nodes.append(
-                        (
-                            ctx.state,
-                            ctx.input,
-                            ctx._pub,
-                            ctx._wake_round,
-                            ctx.halted,
-                            ctx.output,
-                            ctx.failure,
-                            ctx.failure_round,
-                            ctx._rng.getstate()
-                            if ctx._rng is not None
-                            else None,
-                        )
+                snapshot = _capture_scalar_state(
+                    _ScalarState(
+                        [contexts[v] for v in owned], stepper.faults
                     )
-                fault_last = (
-                    dict(faults._last)
-                    if faults is not None and faults._last is not None
-                    else None
                 )
-                conn.send(("ok", (nodes, fault_last)))
-            elif command == "finish":
                 conn.send(
-                    (
-                        "ok",
-                        [
-                            (contexts[v].output, contexts[v].failure)
-                            for v in owned
-                        ],
-                    )
+                    ("ok", (snapshot["nodes"], snapshot["fault_last"]))
                 )
+            elif command == "finish":
+                pairs = [
+                    (contexts[v].output, contexts[v].failure)
+                    for v in owned
+                ]
+                conn.send(("ok", (pairs, None)))
             elif command == "exit":
                 break
             else:  # pragma: no cover - protocol misuse
@@ -245,8 +163,9 @@ def shard_worker(
     except EOFError:  # pragma: no cover - parent died first
         pass
     except BaseException as exc:
+        vertex = stepper.failed_vertex
         try:
-            conn.send(("error", exc))
+            conn.send(("error", exc, vertex))
         except Exception:
             try:
                 conn.send(
@@ -257,6 +176,7 @@ def shard_worker(
                             f"unpicklable exception: "
                             f"{type(exc).__name__}: {exc}"
                         ),
+                        vertex,
                     )
                 )
             except Exception:  # pragma: no cover - pipe already gone

@@ -17,16 +17,23 @@ engines.  RandLOCAL kernels consume the exact same per-vertex
 ``random.Random`` streams in the exact same per-vertex draw order, so
 even sampled executions match draw-for-draw.
 
-**Fallback rules.**  The harness silently delegates to the fast
-per-node engine whenever vectorized execution could not be
-bit-identical or is impossible:
+**One round loop.**  The backend plugs a numpy-kernel stepper into
+:func:`repro.core.engine.run_rounds`, which owns the guards, bulk
+skips, trace rows and observer lifecycle for every backend; the
+stepper adds wake buckets over index arrays, crash-stop accounting,
+one :meth:`RoundKernel.step` call per round and the round's
+:class:`~repro.obs.RoundBatch`.
+
+**Fallback rules.**  The backend decides once per run whether it can
+build that stepper, and runs the fast per-node engine instead whenever
+vectorized execution could not be bit-identical or is impossible:
 
 - no kernel is registered for the algorithm's type;
 - a *legacy* (non batch-capable) observer is attached — per-event
   callbacks require per-node stepping.  Batch-capable observers
   (:class:`repro.obs.BatchRunObserver` subclasses, which includes
   ``MetricsObserver`` and ``JsonlTraceObserver``) stay on the
-  vectorized path: the harness delivers whole rounds columnar-ly via
+  vectorized path: the loop delivers whole rounds columnar-ly via
   ``on_round_batch``, with kernels reporting their published values
   through :meth:`VectorRun.record_publish`, and the resulting
   telemetry (metrics summaries, trace bytes) is identical to the
@@ -61,14 +68,14 @@ from ..core.checkpoint import CheckpointSession
 from ..core.context import Model
 from ..core.engine import (
     DEFAULT_MAX_ROUNDS,
-    SETUP_ROUND,
     RoundTrace,
-    RunMeta,
     RunResult,
+    Stepper,
     _attached_observers,
     _run_local_fast,
-    active_fault_plan,
     flat_adjacency,
+    run_rounds,
+    start_run,
 )
 from ..core.errors import DuplicateIDError, FaultEvent, ReproError, SimulationError
 from ..core.ids import check_unique_ids, sequential_ids
@@ -187,11 +194,11 @@ else:  # pragma: no cover — exercised directly by the test suite
 class VectorRun:
     """Shared state of one vectorized run, handed to the kernel.
 
-    The harness owns scheduling (wake buckets, bulk skip, crashes,
-    budgets, trace); the kernel owns the algorithm state and publishes.
-    Kernels report lifecycle changes through :meth:`halt` and
-    :meth:`sleep` — the exact analogues of ``ctx.halt`` and
-    ``ctx.sleep_until``.
+    The stepper and the shared round loop own scheduling (wake
+    buckets, bulk skip, crashes, budgets, trace); the kernel owns the
+    algorithm state and publishes.  Kernels report lifecycle changes
+    through :meth:`halt` and :meth:`sleep` — the exact analogues of
+    ``ctx.halt`` and ``ctx.sleep_until``.
     """
 
     def __init__(
@@ -248,7 +255,7 @@ class VectorRun:
         self.wake = np.full(n, -1, dtype=np.int64)
         self.outputs: List[Any] = [None] * n
         self.failures: Dict[int, str] = {}
-        #: Vertices halted in the round being executed (harness-reset).
+        #: Vertices halted in the round being executed (stepper-reset).
         self.halted_this_round = 0
         #: True when batch-capable observers are attached; kernels must
         #: then report publishes via :meth:`record_publish` (a no-op
@@ -367,7 +374,7 @@ class RoundKernel:
     Subclasses implement:
 
     - ``supports(algorithm, run)`` — veto configurations the kernel
-      cannot reproduce bit-identically (the harness then falls back to
+      cannot reproduce bit-identically (the backend then falls back to
       the per-node engine, which is the spec);
     - ``setup()`` — mirror ``algorithm.setup`` for all ``run.n``
       vertices (initial publishes, setup halts via ``run.halt``,
@@ -382,7 +389,7 @@ class RoundKernel:
     must be scattered only for vertices in ``awake``, so a crashed
     vertex's last published value stays frozen exactly as in the
     scalar engines (which simply stop stepping it).  Kernels that keep
-    the default ``False`` make the harness fall back to the per-node
+    the default ``False`` make the backend fall back to the per-node
     engine whenever the active plan crashes anybody.
     """
 
@@ -406,89 +413,7 @@ class RoundKernel:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint capability (see repro.core.backend / repro.core.checkpoint)
-# ---------------------------------------------------------------------------
-
-
-class _VectorState:
-    """Checkpoint handle for one vectorized run: the kernel (which owns
-    the :class:`VectorRun`) plus the harness counters the engine copies
-    in at each round boundary before :meth:`CheckpointSession.save`."""
-
-    __slots__ = ("kernel", "rounds", "messages", "traces")
-
-    def __init__(self, kernel: RoundKernel) -> None:
-        self.kernel = kernel
-        self.rounds = 0
-        self.messages = 0
-        self.traces: List[RoundTrace] = []
-
-
-def capture_vector_state(state: _VectorState) -> Dict[str, Any]:
-    """``Backend.capture_state`` for the vectorized engine.
-
-    The snapshot holds the kernel's columnar algorithm state (its
-    ``__dict__`` minus the ``run``/``algorithm`` back-references), the
-    run's lifecycle arrays (halt flags, wake rounds, outputs,
-    failures), and the :class:`~repro.backends.mt19937.VectorMT` depth
-    and draw cursors.  The MT output buffer itself is *not* stored — it
-    regenerates bit-exactly from the seeds at restore, keeping
-    snapshots O(n) instead of O(words × n).  Values are referenced,
-    not copied: the caller pickles the payload synchronously at the
-    round boundary, before any further mutation.
-    """
-    kernel = state.kernel
-    run = kernel.run
-    rng = run._vector_rng
-    return {
-        "format": "vector",
-        "rounds": state.rounds,
-        "messages": state.messages,
-        "traces": list(state.traces),
-        "kernel": {
-            key: value
-            for key, value in kernel.__dict__.items()
-            if key not in ("run", "algorithm")
-        },
-        "halted": run.halted,
-        "wake": run.wake,
-        "outputs": run.outputs,
-        "failures": run.failures,
-        "rng": (
-            None
-            if rng is None
-            else {"words": rng.words, "pos": rng.pos}
-        ),
-    }
-
-
-def restore_vector_state(state: _VectorState, payload: Dict[str, Any]) -> None:
-    """``Backend.restore_state`` for the vectorized engine: applied to
-    a freshly constructed kernel *in place of* ``setup()``."""
-    kernel = state.kernel
-    run = kernel.run
-    state.rounds = int(payload["rounds"])
-    state.messages = int(payload["messages"])
-    state.traces[:] = payload["traces"]
-    for key, value in payload["kernel"].items():
-        setattr(kernel, key, value)
-    run.halted[:] = payload["halted"]
-    run.wake[:] = payload["wake"]
-    run.outputs[:] = payload["outputs"]
-    run.failures.clear()
-    run.failures.update(payload["failures"])
-    rng_state = payload["rng"]
-    if rng_state is not None:
-        # min_words sizes the regenerated buffer to the snapshot's depth
-        # up front (one refill instead of grow-and-replay); a smaller
-        # REPRO_VECTOR_WORD_CAP may clamp it, which stays correct —
-        # outrun cursors regrow transparently on the next draw.
-        rng = run.vector_rng(min_words=int(rng_state["words"]))
-        rng.restore_positions(rng_state["pos"])
-
-
-# ---------------------------------------------------------------------------
-# Batch assembly: kernel-recorded segments -> one RoundBatch per round
+# Batch assembly: kernel-recorded publish values -> one lazy column
 # ---------------------------------------------------------------------------
 
 
@@ -520,93 +445,282 @@ def _merged_values_fn(
     return materialize
 
 
-def _build_round_batch(
-    run: VectorRun,
-    round_index: int,
-    *,
-    active: int = 0,
-    awake: int = 0,
-    halted: int = 0,
-    messages: int = 0,
-    stepped: Any = (),
-    failed: Any = (),
-    fail_reasons: Sequence[str] = (),
-    faults: Sequence[Tuple[int, FaultEvent]] = (),
-) -> RoundBatch:
-    """Drain the run's recorded publish/halt segments into one
-    :class:`RoundBatch` with ascending vertex columns."""
-    pubs = run._pub_segments
-    halts = run._halt_segments
-    run._pub_segments = []
-    run._halt_segments = []
+# ---------------------------------------------------------------------------
+# The numpy-kernel stepper
+# ---------------------------------------------------------------------------
 
-    published: Any = ()
-    publish_bytes: Optional[np.ndarray] = None
-    values_fn: Optional[Callable[[], List[Any]]] = None
-    if pubs:
-        if len(pubs) == 1:
-            published = pubs[0][0]
-            order = None
-        else:
-            published = np.concatenate([seg[0] for seg in pubs])
-            order = np.argsort(published, kind="stable")
-            published = published[order]
-        byte_parts: Optional[List[np.ndarray]] = []
-        for verts, pb, _values, _const, _fn in pubs:
-            if pb is None:
-                byte_parts = None
-                break
-            if isinstance(pb, (int, np.integer)):
-                byte_parts.append(
-                    np.full(verts.size, int(pb), dtype=np.int64)
-                )
-            else:
-                byte_parts.append(np.asarray(pb, dtype=np.int64))
-        if byte_parts is not None:
-            publish_bytes = (
-                byte_parts[0]
-                if len(byte_parts) == 1
-                else np.concatenate(byte_parts)
+
+class _KernelStepper(Stepper):
+    """The numpy-kernel stepper (see "One round loop" above)."""
+
+    format = "vector"
+
+    def __init__(self, kernel: RoundKernel, faults: Optional[Any]) -> None:
+        self.kernel = kernel
+        self.run = kernel.run
+        self.faults = faults
+        self.backend_info = ("vectorized", type(kernel).__name__)
+        self.crash_round: Optional[np.ndarray] = None
+        if faults is not None and faults.crashes:
+            self.crash_round = np.full(
+                self.run.n, np.iinfo(np.int64).max, dtype=np.int64
             )
-            if order is not None:
-                publish_bytes = publish_bytes[order]
-        values_fn = _merged_values_fn(pubs, order)
+            for v, at in faults.crashes.items():
+                self.crash_round[v] = at
+        #: wake round -> vertices parked until that round (index arrays).
+        self.buckets: Dict[int, np.ndarray] = {}
+        self.runnable = np.empty(0, dtype=np.int64)
+        self.parked = 0
+        # The batch columns of the round just stepped.
+        self.stepped: Any = ()
+        self.crashed: Any = ()
+        self.crash_reasons: List[str] = []
+        self.crash_faults: List[Tuple[int, FaultEvent]] = []
 
-    halted_verts: Any = ()
-    halt_values: Sequence[Any] = ()
-    if halts:
-        if len(halts) == 1:
-            halted_verts, halt_values = halts[0]
-        else:
-            halted_verts = np.concatenate([seg[0] for seg in halts])
-            horder = np.argsort(halted_verts, kind="stable")
-            halted_verts = halted_verts[horder]
-            merged: List[Any] = []
-            for _verts, vals in halts:
-                merged.extend(vals)
-            halt_values = [merged[i] for i in horder.tolist()]
+    def setup(self) -> bool:
+        try:
+            self.kernel.setup()
+        except ReproError:
+            raise
+        except Exception:
+            # Same contract as the construction fallback in
+            # run_local_vectorized: the scalar engine re-raises its own
+            # — contractual — error.
+            return False
+        return True
 
-    return RoundBatch(
-        round_index,
-        active=active,
-        awake=awake,
-        halted=halted,
-        messages=messages,
-        stepped=stepped,
-        published=published,
-        publish_values_fn=values_fn,
-        publish_bytes=publish_bytes,
-        halted_verts=halted_verts,
-        halt_values=halt_values,
-        failed=failed,
-        fail_reasons=fail_reasons,
-        faults=faults,
-    )
+    def capture(
+        self, rounds: int, messages: int, traces: List[RoundTrace]
+    ) -> Dict[str, Any]:
+        """The ``"vector"`` snapshot.
 
+        It holds the kernel's columnar algorithm state (its
+        ``__dict__`` minus the ``run``/``algorithm`` back-references),
+        the run's lifecycle arrays (halt flags, wake rounds, outputs,
+        failures), and the :class:`~repro.backends.mt19937.VectorMT`
+        depth and draw cursors.  The MT output buffer itself is *not*
+        stored — it regenerates bit-exactly from the seeds at restore,
+        keeping snapshots O(n) instead of O(words × n).  Values are
+        referenced, not copied: the caller pickles the payload
+        synchronously at the round boundary, before any further
+        mutation.
+        """
+        kernel = self.kernel
+        run = self.run
+        rng = run._vector_rng
+        return {
+            "format": "vector",
+            "rounds": rounds,
+            "messages": messages,
+            "traces": list(traces),
+            "kernel": {
+                key: value
+                for key, value in kernel.__dict__.items()
+                if key not in ("run", "algorithm")
+            },
+            "halted": run.halted,
+            "wake": run.wake,
+            "outputs": run.outputs,
+            "failures": run.failures,
+            "rng": (
+                None
+                if rng is None
+                else {"words": rng.words, "pos": rng.pos}
+            ),
+        }
 
-# ---------------------------------------------------------------------------
-# The harness
-# ---------------------------------------------------------------------------
+    def restore(self, payload: Dict[str, Any]) -> None:
+        """Applied to a freshly constructed kernel in place of setup()."""
+        run = self.run
+        for key, value in payload["kernel"].items():
+            setattr(self.kernel, key, value)
+        run.halted[:] = payload["halted"]
+        run.wake[:] = payload["wake"]
+        run.outputs[:] = payload["outputs"]
+        run.failures.clear()
+        run.failures.update(payload["failures"])
+        rng_state = payload["rng"]
+        if rng_state is not None:
+            # min_words sizes the regenerated buffer to the snapshot's
+            # depth up front (one refill instead of grow-and-replay); a
+            # smaller REPRO_VECTOR_WORD_CAP may clamp it, which stays
+            # correct — outrun cursors regrow transparently on the next
+            # draw.
+            rng = run.vector_rng(min_words=int(rng_state["words"]))
+            rng.restore_positions(rng_state["pos"])
+
+    def schedule(self, rounds: int) -> None:
+        run = self.run
+        alive = ~run.halted
+        parked_mask = alive & (run.wake > rounds)
+        self.runnable = np.flatnonzero(alive & ~parked_mask)
+        self.parked = int(parked_mask.sum())
+        if self.parked:
+            parked_verts = np.flatnonzero(parked_mask)
+            for wake_round, group in _group_by_wake(
+                run.wake[parked_verts], parked_verts
+            ):
+                self.buckets[wake_round] = group
+
+    def active(self) -> int:
+        return int(self.runnable.size) + self.parked
+
+    def wake(self, rounds: int) -> Optional[int]:
+        if self.parked:
+            due = self.buckets.pop(rounds, None)
+            if due is not None and due.size:
+                self.parked -= int(due.size)
+                self.runnable = (
+                    np.concatenate([self.runnable, due])
+                    if self.runnable.size
+                    else due
+                )
+            if not self.runnable.size:
+                return min(self.buckets)
+        return None
+
+    def step(self, rounds: int) -> Tuple[int, int]:
+        run = self.run
+        observing = run.observing
+        runnable = self.runnable
+        if observing and runnable.size:
+            # Ascending vertex order, as the scalar engines schedule
+            # when observed; kernels are order-insensitive so this only
+            # normalizes the batch columns.
+            runnable = np.sort(runnable)
+        awake = int(runnable.size)
+        run.halted_this_round = 0
+        self.crashed = ()
+        self.crash_reasons = []
+        self.crash_faults = []
+        crash_round = self.crash_round
+        if crash_round is not None:
+            crashed_sel = crash_round[runnable] <= rounds
+            if crashed_sel.any():
+                # Crash-stop semantics mirror the scalar engines: the
+                # vertex counts as awake (it was scheduled) and halted,
+                # never steps again, and its last published value stays
+                # visible.  Output stays None; the failure is recorded.
+                faults = self.faults
+                crashed = runnable[crashed_sel]
+                reason = faults.crash_reason(rounds)
+                for v in crashed.tolist():
+                    run.failures[v] = reason
+                    if observing:
+                        self.crash_faults.append(
+                            (v, faults.crash_event(rounds, v))
+                        )
+                        self.crash_reasons.append(reason)
+                run.halted[crashed] = True
+                run.halted_this_round += int(crashed.size)
+                runnable = runnable[~crashed_sel]
+                if observing:
+                    self.crashed = crashed
+        run.wake[runnable] = -1
+        if runnable.size:
+            self.kernel.step(runnable, rounds)
+        survivors = runnable[~run.halted[runnable]]
+        wake = run.wake[survivors]
+        park_sel = wake > rounds + 1
+        if park_sel.any():
+            parking = survivors[park_sel]
+            buckets = self.buckets
+            for wake_round, group in _group_by_wake(
+                wake[park_sel], parking
+            ):
+                previous = buckets.get(wake_round)
+                buckets[wake_round] = (
+                    group
+                    if previous is None
+                    else np.concatenate([previous, group])
+                )
+            self.parked += int(parking.size)
+            survivors = survivors[~park_sel]
+        self.stepped = runnable
+        self.runnable = survivors
+        return awake, run.halted_this_round
+
+    def round_batch(
+        self,
+        round_index: int,
+        active: int,
+        awake: int,
+        halted: int,
+        messages: int,
+    ) -> RoundBatch:
+        """Drain the run's recorded publish/halt segments into one
+        :class:`RoundBatch` with ascending vertex columns."""
+        run = self.run
+        pubs = run._pub_segments
+        halts = run._halt_segments
+        run._pub_segments = []
+        run._halt_segments = []
+
+        published: Any = ()
+        publish_bytes: Optional[np.ndarray] = None
+        values_fn: Optional[Callable[[], List[Any]]] = None
+        if pubs:
+            if len(pubs) == 1:
+                published = pubs[0][0]
+                order = None
+            else:
+                published = np.concatenate([seg[0] for seg in pubs])
+                order = np.argsort(published, kind="stable")
+                published = published[order]
+            byte_parts: Optional[List[np.ndarray]] = []
+            for verts, pb, _values, _const, _fn in pubs:
+                if pb is None:
+                    byte_parts = None
+                    break
+                if isinstance(pb, (int, np.integer)):
+                    byte_parts.append(
+                        np.full(verts.size, int(pb), dtype=np.int64)
+                    )
+                else:
+                    byte_parts.append(np.asarray(pb, dtype=np.int64))
+            if byte_parts is not None:
+                publish_bytes = (
+                    byte_parts[0]
+                    if len(byte_parts) == 1
+                    else np.concatenate(byte_parts)
+                )
+                if order is not None:
+                    publish_bytes = publish_bytes[order]
+            values_fn = _merged_values_fn(pubs, order)
+
+        halted_verts: Any = ()
+        halt_values: Sequence[Any] = ()
+        if halts:
+            if len(halts) == 1:
+                halted_verts, halt_values = halts[0]
+            else:
+                halted_verts = np.concatenate([seg[0] for seg in halts])
+                horder = np.argsort(halted_verts, kind="stable")
+                halted_verts = halted_verts[horder]
+                merged: List[Any] = []
+                for _verts, vals in halts:
+                    merged.extend(vals)
+                halt_values = [merged[i] for i in horder.tolist()]
+
+        return RoundBatch(
+            round_index,
+            active=active,
+            awake=awake,
+            halted=halted,
+            messages=messages,
+            stepped=self.stepped,
+            published=published,
+            publish_values_fn=values_fn,
+            publish_bytes=publish_bytes,
+            halted_verts=halted_verts,
+            halt_values=halt_values,
+            failed=self.crashed,
+            fail_reasons=self.crash_reasons,
+            faults=self.crash_faults,
+        )
+
+    def finish(self) -> Tuple[List[Any], Dict[int, str]]:
+        return self.run.outputs, self.run.failures
 
 
 def run_local_vectorized(
@@ -628,311 +742,80 @@ def run_local_vectorized(
 ) -> RunResult:
     """Entry point of the ``"vectorized"`` backend (same signature and
     same RunResult as every other backend)."""
-    _ensure_kernels()
-
-    def fall_back() -> RunResult:
-        # The checkpoint session rides along: the fallback decision is
-        # deterministic for a fixed configuration, so a resumed run
-        # falls back exactly when the interrupted run did and the
-        # per-node engine consumes the (scalar-format) snapshot.
-        return _run_local_fast(
-            graph,
-            algorithm,
-            model,
-            ids=ids,
-            seed=seed,
-            node_inputs=node_inputs,
-            global_params=global_params,
-            max_rounds=max_rounds,
-            rng_factory=rng_factory,
-            allow_duplicate_ids=allow_duplicate_ids,
-            trace=trace,
-            observers=observers,
-            fault_plan=fault_plan,
-            checkpoint=checkpoint,
-        )
-
-    kernel_cls = _KERNELS.get(type(algorithm))
-    if kernel_cls is None:
-        return fall_back()
+    meta, faults = start_run(
+        graph, algorithm, model, max_rounds, seed, fault_plan
+    )
     attached = _attached_observers(observers)
-    if attached and not all(
-        getattr(obs, "batch_capable", False) for obs in attached
-    ):
-        # Legacy per-event observers need per-node stepping; batch
-        # capable ones consume columnar ``on_round_batch`` deliveries
-        # and keep the run on the vectorized kernels.
-        return fall_back()
-    observing = bool(attached)
-    meta = RunMeta(
-        algorithm=algorithm.name,
-        model=model,
-        n=graph.num_vertices,
-        num_edges=graph.num_edges,
-        max_degree=graph.max_degree,
-        max_rounds=max_rounds,
-        seed=seed,
-        graph=graph,
-    )
-    plan = fault_plan if fault_plan is not None else active_fault_plan()
-    faults = plan.activate(meta) if plan is not None else None
-    if faults is not None and faults.touches_messages:
-        # Message perturbation happens per materialized inbox slot;
-        # the per-node engine is the spec for that path.
-        return fall_back()
+    kernel_cls = kernel_for(algorithm)
+    stepper: Optional[_KernelStepper] = None
     if (
-        faults is not None
-        and faults.crashes
-        and not kernel_cls.handles_crashes
-    ):
+        kernel_cls is not None
+        # Legacy per-event observers need per-node stepping; batch
+        # capable ones consume columnar on_round_batch deliveries.
+        and all(getattr(obs, "batch_capable", False) for obs in attached)
+        # Message perturbation happens per materialized inbox slot.
+        and not (faults is not None and faults.touches_messages)
         # Crash-stop freezes published state; only kernels declaring
-        # that guarantee (scatter restricted to ``awake``) may stay on
-        # the vectorized path.
-        return fall_back()
-    try:
-        run = VectorRun(
-            graph,
-            model,
-            ids=ids,
-            seed=seed,
-            node_inputs=node_inputs,
-            global_params=global_params,
-            rng_factory=rng_factory,
-            allow_duplicate_ids=allow_duplicate_ids,
+        # that guarantee (scatter restricted to ``awake``) may run it.
+        and not (
+            faults is not None
+            and faults.crashes
+            and not kernel_cls.handles_crashes
         )
-        run.observing = observing
-        if not kernel_cls.supports(algorithm, run):
-            return fall_back()
-        kernel = kernel_cls(run, algorithm)
-    except ReproError:
-        raise
-    except Exception:
-        # Construction chokes on ill-typed inputs (e.g. a composite
-        # driver feeding forward the None outputs of a crash-faulted
-        # upstream phase) before anything observable happened; the
-        # scalar engine re-raises its own — contractual — error.
-        return fall_back()
-
-    state = _VectorState(kernel)
-    resumed = (
-        checkpoint.engine_payload("vector") if checkpoint is not None else None
-    )
-    if resumed is not None:
-        # Mid-run snapshot: restoring replaces setup(), and the
-        # observer streams continue from their restored positions — no
-        # run_start, no backend_info, no setup batch (all of those
-        # happened before the snapshot was taken).
-        checkpoint.restore_engine(state, resumed)
-    else:
+    ):
         try:
-            kernel.setup()
+            run = VectorRun(
+                graph,
+                model,
+                ids=ids,
+                seed=seed,
+                node_inputs=node_inputs,
+                global_params=global_params,
+                rng_factory=rng_factory,
+                allow_duplicate_ids=allow_duplicate_ids,
+            )
+            run.observing = bool(attached)
+            if kernel_cls.supports(algorithm, run):
+                stepper = _KernelStepper(kernel_cls(run, algorithm), faults)
         except ReproError:
             raise
         except Exception:
-            # Same contract as the construction fallback above.
-            return fall_back()
-        if observing:
-            # Observable events start only after setup succeeded: had
-            # the harness fallen back above, the per-node engine would
-            # have emitted the whole stream itself (no double
-            # run_start).
-            for obs in attached:
-                obs.on_run_start(meta)
-            kernel_name = type(kernel).__name__
-            for obs in attached:
-                obs.on_backend_info("vectorized", kernel_name)
-            setup_batch = _build_round_batch(run, SETUP_ROUND)
-            for obs in attached:
-                obs.on_round_batch(setup_batch)
-
-    n = run.n
-    rounds = state.rounds
-    messages = state.messages
-    traces = state.traces
-    alive = ~run.halted
-    # At a round-``rounds`` boundary a non-halted vertex is runnable iff
-    # its wake round is unset (-1) or has arrived (<= rounds); only
-    # strictly later wake rounds park it.  Fresh runs start at rounds=0,
-    # where this is the original post-setup scan.
-    parked_mask = alive & (run.wake > rounds)
-    runnable = np.flatnonzero(alive & ~parked_mask)
-    #: wake round -> vertices parked until that round (index arrays).
-    buckets: Dict[int, np.ndarray] = {}
-    parked = int(parked_mask.sum())
-    if parked:
-        parked_verts = np.flatnonzero(parked_mask)
-        for wake_round, group in _group_by_wake(
-            run.wake[parked_verts], parked_verts
-        ):
-            buckets[wake_round] = group
-
-    crash_round: Optional[np.ndarray] = None
-    if faults is not None and faults.crashes:
-        crash_round = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        for v, at in faults.crashes.items():
-            crash_round[v] = at
-
-    messages_per_round = 2 * run.num_edges
-    budget = faults.budget if faults is not None else None
-
-    try:
-        while runnable.size or parked:
-            if checkpoint is not None and checkpoint.due(rounds):
-                state.rounds = rounds
-                state.messages = messages
-                checkpoint.save(state, rounds)
-            if budget is not None and rounds >= budget:
-                budget_error = faults.budget_error(rounds)
-                if observing:
-                    # Run-level fault: delivered immediately (never part of
-                    # a batch), exactly like the scalar engines' vertex-None
-                    # ``on_fault`` right before the raise.
-                    for obs in attached:
-                        obs.on_run_fault(rounds, budget_error)
-                raise budget_error
-            if rounds >= max_rounds:
-                raise SimulationError(
-                    f"{algorithm.name!r} exceeded {max_rounds} rounds on "
-                    f"n={n} (likely non-terminating)",
-                    round=rounds,
-                    run_meta=meta,
-                )
-            if parked:
-                due = buckets.pop(rounds, None)
-                if due is not None and due.size:
-                    parked -= int(due.size)
-                    runnable = (
-                        np.concatenate([runnable, due])
-                        if runnable.size
-                        else due
-                    )
-                if not runnable.size:
-                    # Bulk-accounted sleeping span, exactly as in the fast
-                    # engine: advance round/message counters to the next
-                    # wake (clamped by max_rounds and any injected budget)
-                    # and synthesize the same trace entries.
-                    skip_to = min(min(buckets), max_rounds)
-                    if budget is not None and budget < skip_to:
-                        skip_to = budget
-                    skip = skip_to - rounds
-                    if trace:
-                        traces.extend(
-                            RoundTrace(active=parked, awake=0, halted=0)
-                            for _ in range(skip)
-                        )
-                    if observing:
-                        # The scalar engines emit round boundaries for
-                        # bulk-accounted sleeping rounds too: one empty
-                        # batch per skipped round keeps the streams equal.
-                        for r in range(rounds, rounds + skip):
-                            empty = RoundBatch(
-                                r,
-                                active=parked,
-                                messages=messages_per_round,
-                            )
-                            for obs in attached:
-                                obs.on_round_batch(empty)
-                    rounds += skip
-                    messages += skip * messages_per_round
-                    continue
-            if observing and runnable.size:
-                # Ascending vertex order, as the scalar engines schedule
-                # when observed; kernels are order-insensitive so this only
-                # normalizes the batch columns.
-                runnable = np.sort(runnable)
-            active_now = int(runnable.size) + parked
-            awake_now = int(runnable.size)
-            run.halted_this_round = 0
-            crashed_verts: Any = ()
-            crash_reasons: List[str] = []
-            crash_faults: List[Tuple[int, FaultEvent]] = []
-            if crash_round is not None:
-                crashed_sel = crash_round[runnable] <= rounds
-                if crashed_sel.any():
-                    # Crash-stop semantics mirror the scalar engines: the
-                    # vertex counts as awake (it was scheduled) and halted,
-                    # never steps again, and its last published value stays
-                    # visible.  Output stays None; the failure is recorded.
-                    crashed = runnable[crashed_sel]
-                    reason = faults.crash_reason(rounds)
-                    for v in crashed.tolist():
-                        run.failures[v] = reason
-                        if observing:
-                            crash_faults.append(
-                                (v, faults.crash_event(rounds, v))
-                            )
-                            crash_reasons.append(reason)
-                    run.halted[crashed] = True
-                    run.halted_this_round += int(crashed.size)
-                    runnable = runnable[~crashed_sel]
-                    if observing:
-                        crashed_verts = crashed
-            run.wake[runnable] = -1
-            if runnable.size:
-                kernel.step(runnable, rounds)
-            survivors = runnable[~run.halted[runnable]]
-            wake = run.wake[survivors]
-            park_sel = wake > rounds + 1
-            if park_sel.any():
-                parking = survivors[park_sel]
-                for wake_round, group in _group_by_wake(
-                    wake[park_sel], parking
-                ):
-                    previous = buckets.get(wake_round)
-                    buckets[wake_round] = (
-                        group
-                        if previous is None
-                        else np.concatenate([previous, group])
-                    )
-                parked += int(parking.size)
-                survivors = survivors[~park_sel]
-            if trace:
-                traces.append(
-                    RoundTrace(
-                        active=active_now,
-                        awake=awake_now,
-                        halted=run.halted_this_round,
-                    )
-                )
-            if observing:
-                batch = _build_round_batch(
-                    run,
-                    rounds,
-                    active=active_now,
-                    awake=awake_now,
-                    halted=run.halted_this_round,
-                    messages=messages_per_round,
-                    stepped=runnable,
-                    failed=crashed_verts,
-                    fail_reasons=crash_reasons,
-                    faults=crash_faults,
-                )
-                for obs in attached:
-                    obs.on_round_batch(batch)
-            runnable = survivors
-            rounds += 1
-            messages += messages_per_round
-    except BaseException as exc:
-        # The run died mid-flight (algorithm exception, injected
-        # budget, kill signal surfacing as KeyboardInterrupt):
-        # give buffering observers one flush so partial runs keep
-        # their telemetry, then keep propagating.
-        if observing:
-            for obs in attached:
-                obs.on_run_abort(rounds, exc)
-        raise
-
-    result = RunResult(
-        outputs=run.outputs,
-        rounds=rounds,
-        messages=messages,
-        failures=run.failures,
-        trace=traces,
+            # Construction chokes on ill-typed inputs (e.g. a composite
+            # driver feeding forward the None outputs of a crash-faulted
+            # upstream phase) before anything observable happened; the
+            # scalar engine re-raises its own — contractual — error.
+            stepper = None
+    if stepper is not None:
+        result = run_rounds(
+            stepper,
+            meta,
+            faults,
+            attached,
+            trace=trace,
+            checkpoint=checkpoint,
+        )
+        if result is not None:
+            return result
+    # The checkpoint session rides along: the fallback decision is
+    # deterministic for a fixed configuration, so a resumed run falls
+    # back exactly when the interrupted run did and the per-node engine
+    # consumes the (scalar-format) snapshot.
+    return _run_local_fast(
+        graph,
+        algorithm,
+        model,
+        ids=ids,
+        seed=seed,
+        node_inputs=node_inputs,
+        global_params=global_params,
+        max_rounds=max_rounds,
+        rng_factory=rng_factory,
+        allow_duplicate_ids=allow_duplicate_ids,
+        trace=trace,
+        observers=observers,
+        fault_plan=fault_plan,
+        checkpoint=checkpoint,
     )
-    if observing:
-        for obs in attached:
-            obs.on_run_end(result)
-    return result
 
 
 def _group_by_wake(

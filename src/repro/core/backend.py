@@ -1,14 +1,15 @@
 """Pluggable engine backends for :func:`repro.core.engine.run_local`.
 
-A *backend* is one implementation of the synchronous round loop.  The
-repo ships three:
-
-- ``"fast"`` — the production per-node engine (persistent visible list,
-  dirty-commit, wake buckets; the default);
-- ``"reference"`` — the kept-simple oracle loop the equivalence suite
-  trusts;
-- ``"vectorized"`` — numpy whole-round kernels over the CSR adjacency
-  (requires the ``[perf]`` extra; see ``docs/performance.md``).
+A *backend* is one way to execute the synchronous rounds.  The repo
+ships four.  ``"fast"`` (the default), ``"vectorized"`` and
+``"sharded"`` share one round loop, :func:`repro.core.engine.run_rounds`
+(guards, bulk skips, trace, observer lifecycle, RunResult), and differ
+only in the stepper that executes a round: per-node stepping with
+dirty-commit and wake buckets; numpy whole-round kernels over the CSR
+adjacency (requires the ``[perf]`` extra; see ``docs/performance.md``);
+forked shard workers exchanging boundary messages at round barriers
+(see ``docs/sharding.md``).  ``"reference"`` is the kept-simple oracle
+loop the equivalence suite trusts.
 
 All backends share one contract: identical signature, identical
 :class:`~repro.core.engine.RunResult` (outputs, rounds, messages,

@@ -18,52 +18,54 @@ Faithfulness guarantees:
 - a run that exceeds ``max_rounds`` raises instead of under-reporting.
 
 :func:`run_local` dispatches to a pluggable *backend* (see
-:mod:`repro.core.backend`); four implementations share these
-guarantees:
+:mod:`repro.core.backend`).  Three of the four share one round loop,
+:func:`run_rounds`, which owns resume-or-setup, the checkpoint, budget
+and ``max_rounds`` guards, bulk-skipping of rounds in which every live
+vertex sleeps, the trace rows, the observer lifecycle and the
+:class:`RunResult`; each plugs in a :class:`Stepper` that executes one
+whole round:
 
-- ``"fast"`` (:func:`_run_local_fast`, the default) — the production
-  engine.  It keeps a persistent ``visible`` list and commits only the
-  publishes that actually changed (instead of re-materializing an O(n)
-  snapshot every round), delivers inboxes through a flat CSR adjacency
-  built once per run, and parks ``sleep_until`` vertices in round-keyed
-  wake buckets so sleeping vertices are never scanned.  Per-round cost
-  is O(awake + changed), which is what the paper's shattering analysis
-  predicts the workload looks like: after a few rounds almost every
-  vertex has halted.
-- ``"reference"`` (:func:`run_local_reference`) — the original
-  straight-line loop, kept deliberately simple.  The equivalence test
-  suite runs every shipped algorithm under every registered backend and
-  asserts identical :class:`RunResult`\\ s; see ``docs/performance.md``.
-- ``"vectorized"`` (:mod:`repro.backends.vectorized`, optional) —
-  whole rounds as numpy kernels over the CSR arrays, for the paper's
-  asymptotic regime (n = 10^6 and up).  Requires the ``[perf]`` extra;
-  drivers without a registered kernel fall back to the fast per-node
-  loop.
-- ``"sharded"`` (:mod:`repro.backends.sharded`) — the CSR graph
-  partitioned across N forked worker processes, with only boundary
-  messages exchanged at round barriers.  Bit-identical to the fast
-  engine for every driver, shard count, and fault plan (the
-  ``PartitionInvariance`` relation in ``repro.verify`` pins this);
+- ``"fast"`` (:func:`_run_local_fast`, the default) — the per-node
+  stepper (:class:`NodeStepper`).  It keeps a persistent ``visible``
+  list and commits only the publishes that actually changed, delivers
+  inboxes through a flat CSR adjacency built once per run, and parks
+  ``sleep_until`` vertices in round-keyed wake buckets so sleeping
+  vertices are never scanned.  Per-round cost is O(awake + changed),
+  which is what the paper's shattering analysis predicts the workload
+  looks like: after a few rounds almost every vertex has halted.
+- ``"vectorized"`` (:mod:`repro.backends.vectorized`, optional) — a
+  numpy-kernel stepper for the paper's asymptotic regime (n = 10^6 and
+  up).  Requires the ``[perf]`` extra.
+- ``"sharded"`` (:mod:`repro.backends.sharded`) — a shard-exchange
+  stepper: N forked workers each run the per-node stepper over the
+  vertices they own and exchange boundary messages at round barriers;
   see ``docs/sharding.md``.
 
-Both engines accept *observers* (``observers=[...]`` or ambiently via
+A backend that cannot build its stepper for a run (no kernel, an
+unsupported observer or fault plan, no ``fork``) runs
+:func:`_run_local_fast` instead.  ``"reference"``
+(:func:`run_local_reference`) keeps its own straight-line loop,
+deliberately: it is the oracle the equivalence suite compares every
+other backend against (see ``docs/performance.md``).
+
+Every engine accepts *observers* (``observers=[...]`` or ambiently via
 :func:`observe_runs`): read-only spectators implementing the
 ``repro.obs.RunObserver`` callback protocol.  Dispatch is guarded by a
 single ``hub is not None`` test, so runs without observers pay nothing,
-and the two engines emit **identical event streams** for the same run —
+and all engines emit **identical event streams** for the same run —
 per-node events are delivered in ascending vertex order and
 bulk-accounted sleeping rounds are reported through synthesized
 round-start/round-end events.  See ``docs/observability.md``.
 
-Both engines also accept a *fault plan* (``fault_plan=...`` or
+Every engine also accepts a *fault plan* (``fault_plan=...`` or
 ambiently via :func:`inject_faults`): a seeded, deterministic adversary
 (see :mod:`repro.faults`) that crash-stops chosen vertices, perturbs
 message delivery per edge-port, and enforces a round budget.  Like
 observers, the middleware is guarded by ``is not None`` tests so the
 no-fault path stays on the perf baseline, and fault decisions are
 hash-derived from ``(plan seed, round, vertex, port)`` — never from
-sequential RNG draws — so the two engines inject the *same* faults and
-stay bit-identical under any plan.  See ``docs/robustness.md``.
+sequential RNG draws — so every engine injects the *same* faults and
+stays bit-identical under any plan.  See ``docs/robustness.md``.
 """
 
 from __future__ import annotations
@@ -329,7 +331,7 @@ def _run_setup(
     clock: _Clock,
     hub: Optional[_ObserverHub],
 ) -> None:
-    """Round-free setup pass, shared verbatim by both engines.
+    """Round-free setup pass, shared verbatim by every per-node engine.
 
     Observer events fired here carry :data:`SETUP_ROUND` (-1): publishes
     and halts that happen before the first communication round.
@@ -539,33 +541,38 @@ def run_local(
         scope = current_checkpoint_scope()
         if scope is not None:
             session = scope.next_session()
+    options: Dict[str, Any] = {
+        "ids": ids,
+        "seed": seed,
+        "node_inputs": node_inputs,
+        "global_params": global_params,
+        "max_rounds": max_rounds,
+        "rng_factory": rng_factory,
+        "allow_duplicate_ids": allow_duplicate_ids,
+        "trace": trace,
+        "observers": observers,
+        "fault_plan": fault_plan,
+    }
     if session is None:
         # No checkpointing anywhere in scope: call the runner exactly
         # as before (custom-registered backends need not know the
         # ``checkpoint`` keyword exists).
-        return runner(
-            graph,
-            algorithm,
-            model,
-            ids=ids,
-            seed=seed,
-            node_inputs=node_inputs,
-            global_params=global_params,
-            max_rounds=max_rounds,
-            rng_factory=rng_factory,
-            allow_duplicate_ids=allow_duplicate_ids,
-            trace=trace,
-            observers=observers,
-            fault_plan=fault_plan,
-        )
+        return runner(graph, algorithm, model, **options)
     plan = fault_plan if fault_plan is not None else _ACTIVE_FAULT_PLAN
     fault_fp: Optional[Dict[str, Any]] = None
     if plan is not None:
         # A stable, process-independent plan identity (never repr():
-        # hook callables embed memory addresses).
+        # hook callables embed memory addresses).  The crash schedule
+        # is a list of [vertex, round] pairs, the shape it keeps
+        # through the JSON checkpoint header.
         fault_fp = {
             "seed": getattr(plan, "seed", None),
+            "crashes": [
+                [v, at]
+                for v, at in sorted(dict(getattr(plan, "crashes", {})).items())
+            ],
             "crash_rate": getattr(plan, "crash_rate", None),
+            "crash_round": getattr(plan, "crash_round", None),
             "drop_rate": getattr(plan, "drop_rate", None),
             "duplicate_rate": getattr(plan, "duplicate_rate", None),
             "corrupt_rate": getattr(plan, "corrupt_rate", None),
@@ -593,33 +600,21 @@ def run_local(
         # were restored to their end-of-slot positions by begin()).
         result: RunResult = session.done_result()
         return result
-    result = runner(
-        graph,
-        algorithm,
-        model,
-        ids=ids,
-        seed=seed,
-        node_inputs=node_inputs,
-        global_params=global_params,
-        max_rounds=max_rounds,
-        rng_factory=rng_factory,
-        allow_duplicate_ids=allow_duplicate_ids,
-        trace=trace,
-        observers=observers,
-        fault_plan=fault_plan,
-        checkpoint=session,
-    )
+    result = runner(graph, algorithm, model, checkpoint=session, **options)
     session.record_done(result)
     return result
 
 
 class _ScalarState:
-    """Checkpoint handle for the scalar engines (fast and reference).
+    """A view over per-node run state in the ``"scalar"`` snapshot
+    format.
 
-    A thin view over one run's mutable state: the engines construct it
-    at each due round boundary (save) or once at startup (restore); the
-    capture/restore functions below are the ``"fast"`` and
-    ``"reference"`` backends' registered checkpoint capability.
+    The reference engine uses it as its checkpoint handle, and the
+    capture/restore functions below are the ``"reference"`` backend's
+    registered checkpoint capability.  The per-node stepper (and each
+    shard worker, over the vertices it owns) builds one at capture or
+    restore time, so every scalar-format snapshot is written and read
+    by the same two functions.
     """
 
     __slots__ = ("contexts", "faults", "rounds", "messages", "traces")
@@ -719,24 +714,280 @@ def _restore_scalar_state(
             faults._last.update(last)
 
 
-def _run_local_fast(
+class Stepper:
+    """How one backend executes a round; :func:`run_rounds` does the rest.
+
+    The loop calls ``setup()`` on a fresh run — False declines the run
+    before anything observable happened, and the backend runs the
+    per-node engine instead — or ``restore(payload)`` on a resumed one.
+    ``schedule(rounds)`` then indexes the live vertices at that
+    boundary: a strictly later wake round parks a vertex, anything else
+    makes it runnable.  At each round boundary ``active()`` counts the
+    live vertices (0 ends the run) and ``wake(rounds)`` admits those
+    due, answering None when some vertex steps this round and else the
+    round the next sleeper wakes; ``step(rounds)`` executes one whole
+    round and returns ``(awake, halted)``.  ``capture`` may run at any
+    boundary, ``round_batch`` (the setup pass's or the last round's
+    RoundBatch) only on the batch plane, ``finish()`` returns
+    ``(outputs, failures)``, and ``close()`` runs last whatever
+    happened.
+    """
+
+    #: Snapshot format this stepper captures and restores.
+    format = "scalar"
+    #: Per-event observer hub (``_ObserverHub``'s methods) the stepper
+    #: feeds per vertex itself; when None, the loop delivers observers
+    #: one RoundBatch per round.
+    hub: Optional[Any] = None
+    #: ``on_backend_info`` arguments for batch-plane observers.
+    backend_info: Tuple[str, Optional[str]] = ("", None)
+
+    def setup(self) -> bool:
+        raise NotImplementedError
+
+    def restore(self, payload: Dict[str, Any]) -> None:
+        raise NotImplementedError
+
+    def capture(
+        self, rounds: int, messages: int, traces: List[RoundTrace]
+    ) -> Dict[str, Any]:
+        raise NotImplementedError
+
+    def schedule(self, rounds: int) -> None:
+        raise NotImplementedError
+
+    def active(self) -> int:
+        raise NotImplementedError
+
+    def wake(self, rounds: int) -> Optional[int]:
+        raise NotImplementedError
+
+    def step(self, rounds: int) -> Tuple[int, int]:
+        raise NotImplementedError
+
+    def round_batch(
+        self,
+        round_index: int,
+        active: int,
+        awake: int,
+        halted: int,
+        messages: int,
+    ) -> Any:
+        raise NotImplementedError
+
+    def finish(self) -> Tuple[List[Any], Dict[int, str]]:
+        raise NotImplementedError
+
+    def close(self) -> None:
+        pass
+
+
+@dataclass
+class RunState:
+    """The shared loop's checkpoint handle: the stepper plus the
+    counters the loop owns.  Its :meth:`capture` and :meth:`restore`
+    are the checkpoint capability of every backend that runs on
+    :func:`run_rounds`."""
+
+    stepper: Stepper
+    rounds: int = 0
+    messages: int = 0
+    traces: List[RoundTrace] = field(default_factory=list)
+
+    def capture(self) -> Dict[str, Any]:
+        return self.stepper.capture(self.rounds, self.messages, self.traces)
+
+    def restore(self, payload: Dict[str, Any]) -> None:
+        self.rounds = int(payload["rounds"])
+        self.messages = int(payload["messages"])
+        self.traces[:] = payload["traces"]
+        self.stepper.restore(payload)
+
+
+def start_run(
     graph: Graph,
     algorithm: SyncAlgorithm,
     model: Model,
+    max_rounds: int,
+    seed: Optional[int],
+    fault_plan: Optional[Any],
+) -> Tuple[RunMeta, Optional[Any]]:
+    """The run's static facts and its activated fault plan (the
+    explicit ``fault_plan``, else the ambient one, else None)."""
+    meta = RunMeta(
+        algorithm=algorithm.name,
+        model=model,
+        n=graph.num_vertices,
+        num_edges=graph.num_edges,
+        max_degree=graph.max_degree,
+        max_rounds=max_rounds,
+        seed=seed,
+        graph=graph,
+    )
+    plan = fault_plan if fault_plan is not None else _ACTIVE_FAULT_PLAN
+    return meta, plan.activate(meta) if plan is not None else None
+
+
+def run_rounds(
+    stepper: Stepper,
+    meta: RunMeta,
+    faults: Any,
+    observers: Tuple[Any, ...],
     *,
-    ids: Optional[Sequence[int]] = None,
-    seed: Optional[int] = None,
-    node_inputs: Optional[Sequence[Dict[str, Any]]] = None,
-    global_params: Optional[Dict[str, Any]] = None,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    rng_factory: Optional[Any] = None,
-    allow_duplicate_ids: bool = False,
-    trace: bool = False,
-    observers: Optional[Sequence[Any]] = None,
-    fault_plan: Optional[Any] = None,
-    checkpoint: Optional[CheckpointSession] = None,
-) -> RunResult:
-    """The ``"fast"`` backend: the production per-node round loop.
+    trace: bool,
+    checkpoint: Optional[CheckpointSession],
+) -> Optional[RunResult]:
+    """The round loop of the fast, vectorized and sharded backends.
+
+    Per round boundary, in this order: take a due checkpoint, raise on
+    an exhausted fault budget, raise past ``max_rounds``, then either
+    bulk-account a span in which every live vertex sleeps (up to the
+    next wake, clamped at the cap and the budget, so both guards fire
+    at exactly the round the reference engine reaches them) or let the
+    stepper execute one round.  Skipped rounds still get a trace row
+    and round events with the counts the reference engine reports for
+    them: every parked vertex active, nobody awake, nobody halting.
+
+    Observers ride one of two planes.  A stepper with a per-event
+    :attr:`Stepper.hub` (built over the same ``observers``) reports
+    per-vertex events itself, and the loop adds the run start and round
+    boundaries on that hub.  Otherwise the loop hands ``observers`` one
+    ``RoundBatch`` per round, opened — only once setup succeeded — by
+    ``on_run_start``, ``on_backend_info`` and the setup batch.  Either
+    way every observer sees ``on_run_end``, or ``on_run_abort`` when
+    the run raises.
+
+    Returns None only when the stepper declined the run in ``setup``.
+    """
+    hub = stepper.hub
+    batched = observers if hub is None else ()
+    if batched:
+        from ..obs.observer import RoundBatch
+    state = RunState(stepper)
+    resumed = (
+        checkpoint.engine_payload(stepper.format)
+        if checkpoint is not None
+        else None
+    )
+    budget = faults.budget if faults is not None else None
+    max_rounds = meta.max_rounds
+    messages_per_round = 2 * meta.num_edges
+    rounds = 0
+    try:
+        if checkpoint is not None and resumed is not None:
+            # Resume: the snapshot replaces run_start + setup — the
+            # restored observers already emitted those events in the
+            # interrupted process, and the restored state already
+            # carries its post-setup values.
+            checkpoint.restore_engine(state, resumed)
+        else:
+            if hub is not None:
+                hub.run_start(meta)
+            if not stepper.setup():
+                return None
+            for obs in batched:
+                obs.on_run_start(meta)
+            for obs in batched:
+                obs.on_backend_info(*stepper.backend_info)
+            if batched:
+                setup_batch = stepper.round_batch(SETUP_ROUND, 0, 0, 0, 0)
+                for obs in batched:
+                    obs.on_round_batch(setup_batch)
+        rounds = state.rounds
+        messages = state.messages
+        traces = state.traces
+        stepper.schedule(rounds)
+        while True:
+            active = stepper.active()
+            if not active:
+                break
+            if checkpoint is not None and checkpoint.due(rounds):
+                state.rounds = rounds
+                state.messages = messages
+                checkpoint.save(state, rounds)
+            if budget is not None and rounds >= budget:
+                budget_error = faults.budget_error(rounds)
+                if hub is not None:
+                    hub.fault(rounds, None, budget_error)
+                for obs in batched:
+                    # Run-level fault: delivered at once, never part of
+                    # a batch — the round it interrupts never ends.
+                    obs.on_run_fault(rounds, budget_error)
+                raise budget_error
+            if rounds >= max_rounds:
+                raise SimulationError(
+                    f"{meta.algorithm!r} exceeded {max_rounds} rounds on "
+                    f"n={meta.n} (likely non-terminating)",
+                    round=rounds,
+                    run_meta=meta,
+                )
+            skip_to = stepper.wake(rounds)
+            if skip_to is not None:
+                skip_to = min(skip_to, max_rounds)
+                if budget is not None and budget < skip_to:
+                    skip_to = budget
+                if trace:
+                    traces.extend(
+                        RoundTrace(active=active, awake=0, halted=0)
+                        for _ in range(rounds, skip_to)
+                    )
+                if hub is not None:
+                    for r in range(rounds, skip_to):
+                        hub.round_start(r, active)
+                        hub.round_end(r, 0, 0, messages_per_round)
+                if batched:
+                    for r in range(rounds, skip_to):
+                        empty = RoundBatch(
+                            r, active=active, messages=messages_per_round
+                        )
+                        for obs in batched:
+                            obs.on_round_batch(empty)
+                messages += (skip_to - rounds) * messages_per_round
+                rounds = skip_to
+                continue
+            if hub is not None:
+                hub.round_start(rounds, active)
+            awake, halted = stepper.step(rounds)
+            if trace:
+                traces.append(
+                    RoundTrace(active=active, awake=awake, halted=halted)
+                )
+            if hub is not None:
+                hub.round_end(rounds, awake, halted, messages_per_round)
+            if batched:
+                batch = stepper.round_batch(
+                    rounds, active, awake, halted, messages_per_round
+                )
+                for obs in batched:
+                    obs.on_round_batch(batch)
+            rounds += 1
+            messages += messages_per_round
+        outputs, failures = stepper.finish()
+    except BaseException as exc:
+        # The run died mid-flight (algorithm exception, injected
+        # budget, a killed worker, a kill signal surfacing as
+        # KeyboardInterrupt): give buffering observers one flush so
+        # partial runs keep their telemetry, then keep propagating.
+        for obs in observers:
+            obs.on_run_abort(rounds, exc)
+        raise
+    finally:
+        stepper.close()
+    result = RunResult(
+        outputs=outputs,
+        rounds=rounds,
+        messages=messages,
+        failures=failures,
+        trace=traces,
+    )
+    for obs in observers:
+        obs.on_run_end(result)
+    return result
+
+
+class NodeStepper(Stepper):
+    """The per-node stepper: one ``algorithm.step`` call per awake
+    vertex.
 
     Engine invariants (identical to :func:`run_local_reference`; the
     equivalence suite enforces this):
@@ -747,76 +998,73 @@ def _run_local_fast(
       is preserved while costing O(changed), not O(n);
     - **wake buckets**: a vertex sleeping until round ``w`` is parked in
       ``buckets[w]`` and touched exactly once, when round ``w`` starts.
-      Rounds in which every live vertex sleeps are accounted in bulk
-      (round and message counters advance; nobody is scanned).
-    """
-    contexts = build_contexts(
-        graph,
-        model,
-        ids=ids,
-        seed=seed,
-        node_inputs=node_inputs,
-        global_params=global_params,
-        rng_factory=rng_factory,
-        allow_duplicate_ids=allow_duplicate_ids,
-    )
-    n = graph.num_vertices
-    attached = _attached_observers(observers)
-    hub = _ObserverHub(attached) if attached else None
-    meta = RunMeta(
-        algorithm=algorithm.name,
-        model=model,
-        n=n,
-        num_edges=graph.num_edges,
-        max_degree=graph.max_degree,
-        max_rounds=max_rounds,
-        seed=seed,
-        graph=graph,
-    )
-    plan = fault_plan if fault_plan is not None else _ACTIVE_FAULT_PLAN
-    faults = plan.activate(meta) if plan is not None else None
-    clock = _Clock()
-    state = _ScalarState(contexts, faults)
-    resumed = (
-        checkpoint.engine_payload("scalar")
-        if checkpoint is not None
-        else None
-    )
-    rounds = 0
-    messages = 0
-    try:
-        if resumed is not None:
-            # Resume: the snapshot replaces run_start + setup — the
-            # restored observers already emitted those events in the
-            # interrupted process, and restored contexts already carry
-            # their post-setup state.
-            checkpoint.restore_engine(state, resumed)
-            for ctx in contexts:
-                ctx._clock = clock
-            clock.now = state.rounds
-        else:
-            if hub is not None:
-                hub.run_start(meta)
-            _run_setup(contexts, algorithm, clock, hub)
 
+    The sharded backend's workers run this stepper over the vertices
+    their shard owns, with a segment recorder as the hub.
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        algorithm: SyncAlgorithm,
+        contexts: List[NodeContext],
+        faults: Optional[Any],
+        hub: Optional[Any],
+    ) -> None:
+        self.algorithm = algorithm
+        self.contexts = contexts
+        self.faults = faults
+        self.hub = hub
+        self.deliver = (
+            faults.deliver
+            if faults is not None and faults.touches_messages
+            else None
+        )
+        self.clock = _Clock()
+        self.offsets, self.targets = flat_adjacency(graph)
         #: Persistent per-vertex visible values; updated in place by the
         #: dirty-commit pass instead of being rebuilt every round.
-        visible: List[Any] = [ctx._pub for ctx in contexts]
-        offsets, targets = flat_adjacency(graph)
+        self.visible: List[Any] = []
+        #: wake round -> vertices parked until that round.
+        self.buckets: Dict[int, List[int]] = {}
+        self.runnable: List[int] = []
+        self.parked = 0
+        #: Vertices whose publish the last round committed.
+        self.dirty: List[int] = []
+        #: The vertex whose step raised, if one did.
+        self.failed_vertex: Optional[int] = None
 
-        rounds = state.rounds
-        messages = state.messages
-        messages_per_round = 2 * graph.num_edges
-        traces: List[RoundTrace] = state.traces
+    def setup(self) -> bool:
+        _run_setup(self.contexts, self.algorithm, self.clock, self.hub)
+        self.visible = [ctx._pub for ctx in self.contexts]
+        return True
 
-        #: wake round -> vertices parked until that round.  Rebuilt from
-        #: ``ctx._wake_round`` on resume: entries due at or before the
-        #: current round boundary are runnable (the original run would
-        #: pop them at this round's start), later ones re-park.
+    def restore(self, payload: Dict[str, Any]) -> None:
+        _restore_scalar_state(
+            _ScalarState(self.contexts, self.faults), payload
+        )
+        for ctx in self.contexts:
+            ctx._clock = self.clock
+        self.clock.now = payload["rounds"]
+        self.visible = [ctx._pub for ctx in self.contexts]
+
+    def capture(
+        self, rounds: int, messages: int, traces: List[RoundTrace]
+    ) -> Dict[str, Any]:
+        return _capture_scalar_state(
+            _ScalarState(self.contexts, self.faults, rounds, messages, traces)
+        )
+
+    def schedule(
+        self, rounds: int, vertices: Optional[Sequence[int]] = None
+    ) -> None:
+        """See :meth:`Stepper.schedule`; ``vertices`` restricts the
+        index to the vertices one shard owns."""
+        contexts = self.contexts
         buckets: Dict[int, List[int]] = {}
         parked = 0
         runnable: List[int] = []
-        for v in range(n):
+        for v in range(len(contexts)) if vertices is None else vertices:
             ctx = contexts[v]
             if ctx.halted:
                 continue
@@ -826,86 +1074,56 @@ def _run_local_fast(
                 parked += 1
             else:
                 runnable.append(v)
+        self.buckets = buckets
+        self.parked = parked
+        self.runnable = runnable
 
-        step = algorithm.step
-        budget = faults.budget if faults is not None else None
-        deliver = (
-            faults.deliver
-            if faults is not None and faults.touches_messages
-            else None
-        )
-        while runnable or parked:
-            if checkpoint is not None and checkpoint.due(rounds):
-                state.rounds = rounds
-                state.messages = messages
-                checkpoint.save(state, rounds)
-            if budget is not None and rounds >= budget:
-                budget_error = faults.budget_error(rounds)
-                if hub is not None:
-                    hub.fault(rounds, None, budget_error)
-                raise budget_error
-            if rounds >= max_rounds:
-                raise SimulationError(
-                    f"{algorithm.name!r} exceeded {max_rounds} rounds on "
-                    f"n={n} (likely non-terminating)",
-                    round=rounds,
-                    run_meta=meta,
-                )
-            if parked:
-                due = buckets.pop(rounds, None)
-                if due:
-                    parked -= len(due)
-                    runnable.extend(due)
-                if not runnable:
-                    # Every live vertex sleeps: advance the round and
-                    # message accounting in bulk up to the next wake (or the
-                    # cap, where the guard above raises), scanning nobody.
-                    # The skipped span is still fully observable: each
-                    # bulk-accounted round gets a synthesized trace entry
-                    # and round-start/round-end events carrying the same
-                    # active/awake/halted counts the reference engine
-                    # reports for it (all parked vertices active, nobody
-                    # awake, nobody halting).  An injected round budget
-                    # clamps the skip so the budget check above fires at
-                    # exactly the same round as in the reference engine.
-                    skip_to = min(min(buckets), max_rounds)
-                    if budget is not None and budget < skip_to:
-                        skip_to = budget
-                    skip = skip_to - rounds
-                    if trace:
-                        traces.extend(
-                            RoundTrace(active=parked, awake=0, halted=0)
-                            for _ in range(skip)
-                        )
-                    if hub is not None:
-                        for r in range(rounds, rounds + skip):
-                            hub.round_start(r, parked)
-                            hub.round_end(r, 0, 0, messages_per_round)
-                    rounds += skip
-                    messages += skip * messages_per_round
-                    continue
-            clock.now = rounds
-            if hub is not None:
-                # Canonical event order: the reference engine scans
-                # vertices ascending, so the observed fast engine does too
-                # (per-round vertex steps are order-independent under
-                # double buffering — RunResult is unchanged).
-                runnable.sort()
-                hub.round_start(rounds, len(runnable) + parked)
-            active_now = len(runnable) + parked
-            awake_now = len(runnable)
-            halted_this_round = 0
-            dirty: List[int] = []
-            next_runnable: List[int] = []
+    def active(self) -> int:
+        return len(self.runnable) + self.parked
+
+    def wake(self, rounds: int) -> Optional[int]:
+        if self.parked:
+            due = self.buckets.pop(rounds, None)
+            if due:
+                self.parked -= len(due)
+                self.runnable.extend(due)
+            if not self.runnable:
+                return min(self.buckets)
+        return None
+
+    def step(self, rounds: int) -> Tuple[int, int]:
+        self.clock.now = rounds
+        hub = self.hub
+        runnable = self.runnable
+        if hub is not None:
+            # Canonical event order: the reference engine scans
+            # vertices ascending, so the observed fast engine does too
+            # (per-round vertex steps are order-independent under
+            # double buffering — RunResult is unchanged).
+            runnable.sort()
+        contexts = self.contexts
+        visible = self.visible
+        offsets = self.offsets
+        targets = self.targets
+        buckets = self.buckets
+        faults = self.faults
+        deliver = self.deliver
+        step = self.algorithm.step
+        parked = self.parked
+        halted_this_round = 0
+        dirty: List[int] = []
+        next_runnable: List[int] = []
+        try:
             for v in runnable:
                 ctx = contexts[v]
                 ctx._wake_round = None
                 if faults is not None and faults.crashed(rounds, v):
                     # Crash-stop: the vertex never steps this round (or
                     # again).  It counts as awake (it was scheduled) and
-                    # halted; its last published value stays visible, like
-                    # a halted processor's.  No delivery happens, so the
-                    # stale-duplicate bookkeeping stays engine-identical.
+                    # halted; its last published value stays visible,
+                    # like a halted processor's.  No delivery happens,
+                    # so the stale-duplicate bookkeeping stays
+                    # engine-identical.
                     reason = faults.crash_reason(rounds)
                     ctx.fail(reason)
                     halted_this_round += 1
@@ -941,46 +1159,77 @@ def _run_local_fast(
                         hub.failure(rounds, v, ctx.failure)
                     elif ctx.halted:
                         hub.halt(rounds, v, ctx.output)
-            # Deferred dirty-commit pass: no publish became visible before
-            # every step of this round finished (double buffering).
-            for v in dirty:
-                ctx = contexts[v]
-                ctx._pub = ctx._next_pub
-                ctx._pub_dirty = False
-                visible[v] = ctx._pub
-            if trace:
-                traces.append(
-                    RoundTrace(
-                        active=active_now,
-                        awake=awake_now,
-                        halted=halted_this_round,
-                    )
-                )
-            if hub is not None:
-                hub.round_end(
-                    rounds, awake_now, halted_this_round, messages_per_round
-                )
-            runnable = next_runnable
-            rounds += 1
-            messages += messages_per_round
-    except BaseException as exc:
-        if hub is not None:
-            hub.run_abort(rounds, exc)
-        raise
+        except BaseException:
+            # Name the failing vertex: the sharded backend raises the
+            # error of the lowest one across its shards, as a serial
+            # ascending scan would.
+            self.failed_vertex = v
+            raise
+        # Deferred dirty-commit pass: no publish became visible before
+        # every step of this round finished (double buffering).
+        for v in dirty:
+            ctx = contexts[v]
+            ctx._pub = ctx._next_pub
+            ctx._pub_dirty = False
+            visible[v] = ctx._pub
+        self.runnable = next_runnable
+        self.parked = parked
+        self.dirty = dirty
+        return len(runnable), halted_this_round
 
-    failures = {
-        v: ctx.failure for v, ctx in enumerate(contexts) if ctx.failure
-    }
-    outputs = [ctx.output for ctx in contexts]
-    result = RunResult(
-        outputs=outputs,
-        rounds=rounds,
-        messages=messages,
-        failures=failures,
-        trace=traces,
+    def finish(self) -> Tuple[List[Any], Dict[int, str]]:
+        contexts = self.contexts
+        failures = {
+            v: ctx.failure for v, ctx in enumerate(contexts) if ctx.failure
+        }
+        return [ctx.output for ctx in contexts], failures
+
+
+def _run_local_fast(
+    graph: Graph,
+    algorithm: SyncAlgorithm,
+    model: Model,
+    *,
+    ids: Optional[Sequence[int]] = None,
+    seed: Optional[int] = None,
+    node_inputs: Optional[Sequence[Dict[str, Any]]] = None,
+    global_params: Optional[Dict[str, Any]] = None,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
+    rng_factory: Optional[Any] = None,
+    allow_duplicate_ids: bool = False,
+    trace: bool = False,
+    observers: Optional[Sequence[Any]] = None,
+    fault_plan: Optional[Any] = None,
+    checkpoint: Optional[CheckpointSession] = None,
+) -> RunResult:
+    """The ``"fast"`` backend: the per-node stepper on the shared
+    round loop, with every observer on the per-event plane.  The other
+    backends call it directly when they cannot build their own
+    stepper."""
+    contexts = build_contexts(
+        graph,
+        model,
+        ids=ids,
+        seed=seed,
+        node_inputs=node_inputs,
+        global_params=global_params,
+        rng_factory=rng_factory,
+        allow_duplicate_ids=allow_duplicate_ids,
     )
-    if hub is not None:
-        hub.run_end(result)
+    meta, faults = start_run(
+        graph, algorithm, model, max_rounds, seed, fault_plan
+    )
+    attached = _attached_observers(observers)
+    hub = _ObserverHub(attached) if attached else None
+    result = run_rounds(
+        NodeStepper(graph, algorithm, contexts, faults, hub),
+        meta,
+        faults,
+        attached,
+        trace=trace,
+        checkpoint=checkpoint,
+    )
+    assert result is not None  # the per-node stepper never declines
     return result
 
 
@@ -1193,32 +1442,6 @@ def run_local_reference(
     return result
 
 
-def _capture_vectorized_state(handle: Any) -> Dict[str, Any]:
-    """Checkpoint capability for the ``"vectorized"`` backend.
-
-    Dispatches on the handle shape: drivers without a registered kernel
-    fall back to the fast per-node loop, whose handle is a
-    :class:`_ScalarState` — those snapshots are scalar-format so a
-    resume lands back on the identical fallback path.  Imported lazily
-    so the capability can register without numpy installed.
-    """
-    if isinstance(handle, _ScalarState):
-        return _capture_scalar_state(handle)
-    from ..backends.vectorized import capture_vector_state
-
-    result: Dict[str, Any] = capture_vector_state(handle)
-    return result
-
-
-def _restore_vectorized_state(handle: Any, payload: Dict[str, Any]) -> None:
-    if isinstance(handle, _ScalarState):
-        _restore_scalar_state(handle, payload)
-        return
-    from ..backends.vectorized import restore_vector_state
-
-    restore_vector_state(handle, payload)
-
-
 def _load_sharded_backend() -> Runner:
     """Resolve the multi-process sharded backend.
 
@@ -1233,40 +1456,12 @@ def _load_sharded_backend() -> Runner:
     return runner
 
 
-def _capture_sharded_state(handle: Any) -> Dict[str, Any]:
-    """Checkpoint capability for the ``"sharded"`` backend.
-
-    Dispatches on the handle shape, exactly like the vectorized
-    capability: runs that fell back to the per-node loop (non-batch
-    observers, no fork support, daemonic pool workers) carry a
-    :class:`_ScalarState`; native sharded runs carry the coordinator's
-    handle, whose capture gathers per-shard state over the barrier.
-    Both snapshot formats are ``"scalar"``, so any snapshot resumes at
-    any shard count — or on any scalar-compatible backend.
-    """
-    if isinstance(handle, _ScalarState):
-        return _capture_scalar_state(handle)
-    from ..backends.sharded import capture_sharded_state
-
-    result: Dict[str, Any] = capture_sharded_state(handle)
-    return result
-
-
-def _restore_sharded_state(handle: Any, payload: Dict[str, Any]) -> None:
-    if isinstance(handle, _ScalarState):
-        _restore_scalar_state(handle, payload)
-        return
-    from ..backends.sharded import restore_sharded_state
-
-    restore_sharded_state(handle, payload)
-
-
 register_backend(
     "fast",
     lambda: _run_local_fast,
     description="production per-node loop (dirty-commit, wake buckets)",
-    capture_state=_capture_scalar_state,
-    restore_state=_restore_scalar_state,
+    capture_state=RunState.capture,
+    restore_state=RunState.restore,
 )
 register_backend(
     "reference",
@@ -1281,8 +1476,8 @@ register_backend(
     description="numpy whole-round kernels over the CSR adjacency "
     "(requires the [perf] extra; per-node fallback for drivers "
     "without a kernel)",
-    capture_state=_capture_vectorized_state,
-    restore_state=_restore_vectorized_state,
+    capture_state=RunState.capture,
+    restore_state=RunState.restore,
 )
 register_backend(
     "sharded",
@@ -1290,6 +1485,6 @@ register_backend(
     description="multi-process shard workers over a deterministic "
     "vertex partition (boundary messages at round barriers; "
     "REPRO_SHARDS / --shards selects the shard count)",
-    capture_state=_capture_sharded_state,
-    restore_state=_restore_sharded_state,
+    capture_state=RunState.capture,
+    restore_state=RunState.restore,
 )

@@ -347,20 +347,38 @@ def test_multi_slot_resume_replays_finished_and_restores_observers(
 
 
 def test_stale_fingerprint_starts_fresh_not_wrong(tmp_path):
-    """Same directory, different run identity (seed): the snapshot is
-    rejected by fingerprint and the run starts fresh — it must land on
-    the plain run's result, not resume into foreign state."""
-    with checkpointing(str(tmp_path), every_rounds=1):
-        with pytest.raises(_Kill):
-            with observe_runs(KillSwitch(3)):
-                run_noisy(seed=1)
-    plain = run_noisy(seed=2)
-    with checkpointing(
-        str(tmp_path), every_rounds=1, resume=True
-    ) as scope:
-        resumed = run_noisy(seed=2)
-    assert resumed == plain
-    assert scope.events[0]["reason"] == "stale-ckpt"
+    """Same directory, different run identity (the seed, or the crash
+    round of the fault plan): the snapshot is rejected by fingerprint
+    and the run starts fresh — it must land on the plain run's result,
+    not resume into foreign state."""
+    identities = [
+        ("fast", 3, {"seed": 1}, {"seed": 2}),
+    ]
+    for backend in ("fast", "sharded"):
+        # Killed after round 4: the stale snapshot already holds the
+        # vertices the old plan crashed at round 2.
+        identities.append(
+            (
+                backend,
+                5,
+                {"fault_plan": FaultPlan(seed=7, crash_rate=0.2, crash_round=2)},
+                {"fault_plan": FaultPlan(seed=7, crash_rate=0.2, crash_round=8)},
+            )
+        )
+    for case, (backend, kill_after, killed, fresh) in enumerate(identities):
+        workdir = str(tmp_path / f"case-{case}")
+        with use_backend(backend):
+            with checkpointing(workdir, every_rounds=1):
+                with pytest.raises(_Kill):
+                    with observe_runs(KillSwitch(kill_after)):
+                        run_noisy(**killed)
+            plain = run_noisy(**fresh)
+            with checkpointing(
+                workdir, every_rounds=1, resume=True
+            ) as scope, observe_runs(KillSwitch(None)):
+                resumed = run_noisy(**fresh)
+        assert resumed == plain, (backend, fresh)
+        assert scope.events[0]["reason"] == "stale-ckpt", scope.events
 
 
 def test_corrupted_snapshot_is_loud_on_resume(tmp_path):

@@ -44,6 +44,7 @@ from repro.algorithms import (
 )
 from repro.algorithms.drivers import driver_registry
 from repro.core import (
+    BudgetExceededError,
     Model,
     SyncAlgorithm,
     available_backend_names,
@@ -53,6 +54,7 @@ from repro.core import (
     use_backend,
     use_reference_engine,
 )
+from repro.faults import FaultPlan
 from repro.graphs.generators import (
     complete_regular_tree_with_size,
     cycle_graph,
@@ -119,6 +121,9 @@ class _EventRecorder:
     def on_failure(self, round_index, vertex, reason):
         self.events.append(("failure", round_index, vertex, reason))
 
+    def on_fault(self, round_index, vertex, fault):
+        self.events.append(("fault", round_index, vertex, str(fault)))
+
     def on_round_end(self, round_index, awake, halted, messages):
         self.events.append(
             ("round_end", round_index, awake, halted, messages)
@@ -126,6 +131,9 @@ class _EventRecorder:
 
     def on_run_end(self, result):
         self.events.append(("run_end", result.rounds))
+
+    def on_run_abort(self, round_index, error):
+        self.events.append(("run_abort", round_index, str(error)))
 
 
 def run_both(graph, algorithm_factory, model, backend="fast", **kwargs):
@@ -243,6 +251,13 @@ class RandomTalker(SyncAlgorithm):
             ctx.publish(draw)
 
 
+def _budget_in_skip_setup():
+    """The pinned bulk-skip setup: odd vertices of an 8-cycle sleep
+    until round 5, so rounds 1-4 are one bulk-skipped span."""
+    graph = cycle_graph(8)
+    return graph, [{"klass": 0 if v % 2 == 0 else 5} for v in range(8)]
+
+
 @pytest.mark.parametrize("backend", CANDIDATE_BACKENDS)
 class TestSyntheticEquivalence:
     def test_staggered_sleep_with_bulk_skips(self, backend):
@@ -260,8 +275,7 @@ class TestSyntheticEquivalence:
         round events) identical to the reference engine's full scan."""
         from repro.core.engine import RoundTrace
 
-        graph = cycle_graph(8)
-        inputs = [{"klass": 0 if v % 2 == 0 else 5} for v in range(8)]
+        graph, inputs = _budget_in_skip_setup()
         rec = _EventRecorder()
         result = run_local(
             graph, StaggeredSleeper(), Model.DET, backend=backend,
@@ -288,6 +302,27 @@ class TestSyntheticEquivalence:
             graph, StaggeredSleeper, Model.DET, backend=backend,
             node_inputs=inputs,
         )
+
+    def test_budget_clamps_a_bulk_skipped_span(self, backend):
+        """An injected round budget inside a bulk-skipped span: the skip
+        stops at the budget, so BudgetExceededError fires at round 3 —
+        where the reference engine's full scan meets it — and not at
+        the next wake (round 5)."""
+        graph, inputs = _budget_in_skip_setup()
+        events = []
+        for run in (run_local, run_local_reference):
+            rec = _EventRecorder()
+            kwargs = {"backend": backend} if run is run_local else {}
+            with pytest.raises(BudgetExceededError) as exc:
+                run(
+                    graph, StaggeredSleeper(), Model.DET,
+                    node_inputs=inputs, trace=True, observers=[rec],
+                    fault_plan=FaultPlan(round_budget=3), **kwargs
+                )
+            assert exc.value.round == 3
+            events.append(rec.events)
+        assert events[0] == events[1]
+        assert ("round_end", 2, 0, 0, 2 * graph.num_edges) in events[0]
 
     def test_repeated_sleep_cycles(self, backend):
         graph = ring_of_cycles(4, 5)
@@ -515,6 +550,19 @@ class TestShardedSyntheticEquivalence:
         self.run_sharded(
             cycle_graph(50), RandomTalker, Model.RAND, count, seed=7
         )
+
+    def test_budget_clamps_a_bulk_skipped_span(self, count):
+        from repro.backends.sharded import use_shards
+
+        graph, inputs = _budget_in_skip_setup()
+        with use_shards(count):
+            with pytest.raises(BudgetExceededError) as exc:
+                run_local(
+                    graph, StaggeredSleeper(), Model.DET,
+                    node_inputs=inputs, backend="sharded",
+                    fault_plan=FaultPlan(round_budget=3),
+                )
+        assert exc.value.round == 3
 
     def test_max_rounds_guard(self, count):
         from repro.backends.sharded import use_shards

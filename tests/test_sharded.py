@@ -40,13 +40,13 @@ from repro.backends.sharded import (
     partition_graph,
     use_shards,
 )
-from repro.core import use_backend
+from repro.core import Model, SyncAlgorithm, run_local, use_backend
 from repro.core.checkpoint import checkpointing
 from repro.core.engine import inject_faults, observe_runs
 from repro.core.errors import ReproError
 from repro.faults.plan import FaultPlan
 from repro.faults.runtime import mix64
-from repro.graphs.generators import random_tree_bounded_degree
+from repro.graphs.generators import cycle_graph, random_tree_bounded_degree
 from repro.obs import JsonlTraceObserver, MetricsObserver
 from repro.obs.observer import BatchRunObserver, RunObserver
 from repro.verify import (
@@ -212,7 +212,10 @@ def test_shard_config_defaults_and_env(monkeypatch):
     monkeypatch.delenv(SHARDS_ENV_VAR, raising=False)
     assert current_shard_config().n_shards == DEFAULT_SHARD_COUNT
     monkeypatch.setenv(SHARDS_ENV_VAR, "6")
-    assert current_shard_config().n_shards == 6
+    config = current_shard_config()
+    assert config.n_shards == 6
+    # The environment picks the count only; placement is use_shards'.
+    assert (config.mode, config.seed) == (CONTIGUOUS, 0)
 
 
 def test_ambient_use_shards_beats_the_environment(monkeypatch):
@@ -363,6 +366,38 @@ def test_partition_invariance_ships_in_the_standard_catalogue():
         isinstance(relation, PartitionInvariance)
         for relation in standard_relations()
     )
+
+
+class _RaiseEverywhere(SyncAlgorithm):
+    """Every vertex raises in round 0, naming itself."""
+
+    name = "raise-everywhere"
+
+    def setup(self, ctx):
+        ctx.publish(0)
+
+    def step(self, ctx, inbox):
+        raise ValueError(f"id {ctx.id}")
+
+
+@requires_fork
+def test_simultaneous_shard_errors_raise_the_lowest_vertex():
+    """When several shards raise in one round, the sharded backend
+    raises the error of the lowest failing vertex — the one the fast
+    engine's ascending scan reaches first.  Placement seed 0 puts
+    vertex 0 on shard 1, so re-raising shard 0's error would name a
+    different vertex."""
+    graph = cycle_graph(12)
+    assert partition_graph(graph, 2, mode=RANDOM, seed=0).owner[0] == 1
+    with pytest.raises(ValueError) as fast:
+        run_local(graph, _RaiseEverywhere(), Model.DET, backend="fast")
+    with use_shards(2, mode=RANDOM, seed=0):
+        with pytest.raises(ValueError) as sharded:
+            run_local(
+                graph, _RaiseEverywhere(), Model.DET, backend="sharded"
+            )
+    assert str(fast.value) == "id 0"
+    assert str(sharded.value) == str(fast.value)
 
 
 class _ScalarRecorder(RunObserver):
