@@ -35,7 +35,7 @@ from repro.core import use_backend  # noqa: E402
 from repro.core.checkpoint import checkpointing  # noqa: E402
 from repro.core.engine import observe_runs  # noqa: E402
 from repro.obs import JsonlTraceObserver, MetricsObserver  # noqa: E402
-from repro.obs.observer import BatchRunObserver  # noqa: E402
+from repro.obs.observer import RunObserver  # noqa: E402
 from repro.verify import (  # noqa: E402
     make_instance,
     run_outcome,
@@ -49,13 +49,12 @@ SHARDS = 4
 RESUME_SHARDS = (4, 2)
 
 
-class KillOneWorker(BatchRunObserver):
+class KillOneWorker(RunObserver):
     """SIGKILL one live shard worker after ``kill_after`` batches."""
 
     checkpoint_capable = True
 
     def __init__(self, kill_after=None):
-        super().__init__()
         self.kill_after = kill_after
         self.seen = 0
         self.killed = None

@@ -145,7 +145,7 @@ def _check_observer(observer: Any) -> None:
             "which has no summary() method — run_sweep telemetry "
             "needs MetricsObserver-style summaries"
         )
-    if not hasattr(observer, "on_run_start"):
+    if not callable(getattr(observer, "on_round_batch", None)):
         raise TelemetryError(
             f"observer_factory produced {type(observer).__name__}, "
             "which lacks the RunObserver callbacks — subclass "

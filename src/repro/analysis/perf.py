@@ -287,9 +287,9 @@ def traced_backend_metrics(
     are attached for every timed run.
 
     This is the plane-1 scale contract made a number: since the
-    vectorized backend feeds batch-capable observers natively (no
-    scalar fallback), its traced throughput must stay vectorized-class,
-    not collapse to the fast engine's.  Asserts en passant that every
+    vectorized backend feeds observers its round batches natively (no
+    per-node fallback), its traced throughput must stay
+    vectorized-class, not collapse to the fast engine's.  Asserts en passant that every
     backend's metrics summary is identical — the byte-identity contract
     with observers attached.
     """

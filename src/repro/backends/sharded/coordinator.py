@@ -19,9 +19,9 @@ only what a round barrier needs:
    (crash/drop/duplicate/corrupt decisions recomputed shard-locally
    from the placement-independent splitmix64 hashes) and replies with
    its activity counts, its next wake round, its boundary publishes,
-   and (when observing) its batch segment;
+   and (when observing) the stepper's batch columns;
 4. the parent sums the counts, takes the next wake round as the
-   minimum over shards, merges the per-shard batch segments into one
+   minimum over shards, merges the per-shard batch columns into one
    :class:`~repro.obs.RoundBatch` in canonical vertex order, and
    routes the boundary values for the next barrier.
 
@@ -42,6 +42,8 @@ import multiprocessing
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import (
     Any,
     Dict,
@@ -60,6 +62,7 @@ from ...core.engine import (
     RunResult,
     Stepper,
     _attached_observers,
+    _Events,
     _run_local_fast,
     build_contexts,
     run_rounds,
@@ -67,14 +70,13 @@ from ...core.engine import (
 )
 from ...core.errors import ReproError
 from ...graphs.graph import Graph
-from ...obs.observer import RoundBatch
 from .partition import (
     CONTIGUOUS,
     Partition,
     check_partition,
     partition_graph,
 )
-from .worker import CRASH_MARKER, SegmentRecorder, shard_worker
+from .worker import CRASH_MARKER, shard_worker
 
 #: Shard-count environment variable (the CLI's ``--shards`` writes it).
 SHARDS_ENV_VAR = "REPRO_SHARDS"
@@ -184,7 +186,9 @@ class _ShardStepper(Stepper):
         self.ghosts: List[List[Tuple[int, Any]]] = [
             [] for _ in range(part.n_shards)
         ]
-        self.segments: List[List[Tuple[int, str, Any]]] = []
+        #: Batch columns of the setup pass or of the last round, one
+        #: per shard, each ascending over the vertices it owns.
+        self.segments: List[_Events] = []
 
     # -- the workers and the barrier -------------------------------------
     def _fork(self, start_round: int) -> None:
@@ -300,10 +304,9 @@ class _ShardStepper(Stepper):
     # -- the stepper -----------------------------------------------------
     def setup(self) -> bool:
         self.node.setup()
-        recorder = self.node.hub
-        if recorder is not None:
-            # The setup pass's events, recorded in the parent.
-            self.segments = [recorder.drain()]
+        if self.node.events is not None:
+            # The setup pass's columns, recorded in the parent.
+            self.segments = [self.node.drain()]
         return True
 
     def restore(self, payload: Dict[str, Any]) -> None:
@@ -382,8 +385,8 @@ class _ShardStepper(Stepper):
         self.parked = parked
         self.next_wake = min(wakes, default=None)
         self.rounds = rounds + 1
-        if self.node.hub is not None:
-            self.segments = [reply["batch"] for reply in replies]
+        if self.node.events is not None:
+            self.segments = [reply["events"] for reply in replies]
         return awake, halted
 
     def round_batch(
@@ -393,42 +396,40 @@ class _ShardStepper(Stepper):
         awake: int,
         halted: int,
         messages: int,
-    ) -> RoundBatch:
-        """Merge the shards' batch segments in canonical vertex order.
+    ) -> Any:
+        """Merge the shards' batch columns in canonical vertex order.
 
-        Each segment lists its events ascending over a disjoint vertex
-        set, so a stable sort by vertex both interleaves the shards and
-        preserves every vertex's own event order (a vertex's delivery
-        faults, in port order, all live in one segment).  Crash markers
-        are materialized here into the parent's own
+        Each shard's columns are ascending over a disjoint vertex set,
+        so a stable sort by vertex interleaves the shards and keeps
+        every vertex's own order (a vertex's delivery faults, in port
+        order, all come from one shard).  Crash markers are
+        materialized here into the parent's own
         :class:`~repro.core.errors.CrashStopFault` events — the parent
         activated the identical plan, and the event's ``run_meta``
         carries the graph handle, which never crosses a pipe.
         """
-        events = [event for segment in self.segments for event in segment]
-        events.sort(key=lambda event: event[0])
-        columns: Dict[str, List[Tuple[int, Any]]] = {
-            kind: [] for kind in ("step", "publish", "halt", "failure", "fault")
-        }
-        for v, kind, value in events:
-            if kind == "fault" and value is CRASH_MARKER:
-                value = self.node.faults.crash_event(round_index, v)
-            columns[kind].append((v, value))
-        return RoundBatch(
-            round_index,
-            active=active,
-            awake=awake,
-            halted=halted,
-            messages=messages,
-            stepped=[v for v, _ in columns["step"]],
-            published=[v for v, _ in columns["publish"]],
-            publish_values=[value for _, value in columns["publish"]],
-            halted_verts=[v for v, _ in columns["halt"]],
-            halt_values=[value for _, value in columns["halt"]],
-            failed=[v for v, _ in columns["failure"]],
-            fail_reasons=[reason for _, reason in columns["failure"]],
-            faults=columns["fault"],
+        segments = self.segments
+        merged = _Events()
+        merged.stepped = sorted(chain(*(s.stepped for s in segments)))
+        merged.published, merged.values = _merge(
+            zip(s.published, s.values) for s in segments
         )
+        merged.halted, merged.outputs = _merge(
+            zip(s.halted, s.outputs) for s in segments
+        )
+        merged.failed, merged.reasons = _merge(
+            zip(s.failed, s.reasons) for s in segments
+        )
+        faults = self.node.faults
+        merged.faults = [
+            (v, faults.crash_event(round_index, v))
+            if fault is CRASH_MARKER
+            else (v, fault)
+            for v, fault in sorted(
+                chain(*(s.faults for s in segments)), key=itemgetter(0)
+            )
+        ]
+        return merged.batch(round_index, active, awake, halted, messages)
 
     def finish(self) -> Tuple[List[Any], Dict[int, str]]:
         if not self.procs:
@@ -462,16 +463,14 @@ def run_local_sharded(
     """Entry point of the ``"sharded"`` backend (same signature and
     same RunResult as every other backend).
 
-    Runs the fast engine instead when a per-event observer is attached
-    (it needs per-node stepping in one process), when the ``fork``
-    start method is unavailable, or inside a daemonic pool worker
-    (resilient sweeps), which may not fork children of its own.
+    Runs the fast engine instead when the ``fork`` start method is
+    unavailable, or inside a daemonic pool worker (resilient sweeps),
+    which may not fork children of its own.
     """
     config = current_shard_config()
     attached = _attached_observers(observers)
     if (
-        all(getattr(obs, "batch_capable", False) for obs in attached)
-        and "fork" in multiprocessing.get_all_start_methods()
+        "fork" in multiprocessing.get_all_start_methods()
         and not multiprocessing.current_process().daemon
     ):
         contexts = build_contexts(
@@ -487,9 +486,8 @@ def run_local_sharded(
         meta, faults = start_run(
             graph, algorithm, model, max_rounds, seed, fault_plan
         )
-        recorder = SegmentRecorder() if attached else None
         stepper = _ShardStepper(
-            NodeStepper(graph, algorithm, contexts, faults, recorder),
+            NodeStepper(graph, algorithm, contexts, faults, bool(attached)),
             partition_graph(
                 graph, config.n_shards, mode=config.mode, seed=config.seed
             ),
@@ -524,3 +522,12 @@ def run_local_sharded(
         fault_plan=fault_plan,
         checkpoint=checkpoint,
     )
+
+
+def _merge(
+    columns: Iterator[Iterator[Tuple[int, Any]]],
+) -> Tuple[List[int], List[Any]]:
+    """Merge per-shard ascending ``(vertex, value)`` columns into one
+    vertex column and its aligned value column."""
+    pairs = sorted(chain(*columns), key=itemgetter(0))
+    return [v for v, _ in pairs], [value for _, value in pairs]

@@ -27,7 +27,8 @@ vertices its shard owns:
 
 Protocol (pickled tuples over a duplex pipe; one request, one reply):
 
-- ``("step", round, ghosts)`` -> ``("ok", reply_dict)``
+- ``("step", round, ghosts)`` -> ``("ok", reply_dict)``; on observed
+  runs the reply carries the round's batch columns
 - ``("capture",)`` -> ``("ok", (node_snapshots, fault_last))``
 - ``("finish",)`` -> ``("ok", ([(output, failure), ...], None))``
 - ``("exit",)`` -> no reply; the worker leaves its loop.
@@ -48,47 +49,10 @@ from typing import Any, Dict, List, Tuple
 from ...core.engine import NodeStepper, _capture_scalar_state, _ScalarState
 from ...core.errors import CrashStopFault, ReproError
 
-#: Batch-segment faults column marker for a crash-stop vertex; the
+#: Shipped faults column marker for a crash-stop vertex; the
 #: coordinator substitutes the parent-side CrashStopFault (whose
 #: ``run_meta`` carries the graph handle — never shipped over a pipe).
 CRASH_MARKER = None
-
-
-class SegmentRecorder:
-    """The per-node stepper's observer hub on the sharded backend.
-
-    Records one shard's events of one round (or of the setup pass, in
-    the parent) as a batch segment: ``(vertex, kind, value)`` entries
-    in the stepper's ascending vertex order, which :meth:`drain` hands
-    over for the coordinator to merge into one
-    :class:`~repro.obs.RoundBatch`.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: List[Tuple[int, str, Any]] = []
-
-    def drain(self) -> List[Tuple[int, str, Any]]:
-        events, self.events = self.events, []
-        return events
-
-    def node_step(self, round_index: int, vertex: int, ctx: Any) -> None:
-        self.events.append((vertex, "step", None))
-
-    def publish(self, round_index: int, vertex: int, value: Any) -> None:
-        self.events.append((vertex, "publish", value))
-
-    def halt(self, round_index: int, vertex: int, output: Any) -> None:
-        self.events.append((vertex, "halt", output))
-
-    def failure(self, round_index: int, vertex: int, reason: str) -> None:
-        self.events.append((vertex, "failure", reason))
-
-    def fault(self, round_index: int, vertex: int, fault: Any) -> None:
-        if isinstance(fault, CrashStopFault):
-            fault = CRASH_MARKER
-        self.events.append((vertex, "fault", fault))
 
 
 def shard_worker(
@@ -108,7 +72,6 @@ def shard_worker(
         other.close()
 
     stepper.schedule(start_round, owned)
-    recorder = stepper.hub
     visible = stepper.visible
     contexts = stepper.contexts
     try:
@@ -135,8 +98,15 @@ def shard_worker(
                         if v in consumers
                     ],
                 }
-                if recorder is not None:
-                    reply["batch"] = recorder.drain()
+                if stepper.events is not None:
+                    events = stepper.drain()
+                    events.faults = [
+                        (v, CRASH_MARKER)
+                        if isinstance(fault, CrashStopFault)
+                        else (v, fault)
+                        for v, fault in events.faults
+                    ]
+                    reply["events"] = events
                 conn.send(("ok", reply))
             elif command == "capture":
                 snapshot = _capture_scalar_state(

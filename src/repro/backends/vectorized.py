@@ -22,22 +22,17 @@ even sampled executions match draw-for-draw.
 skips, trace rows and observer lifecycle for every backend; the
 stepper adds wake buckets over index arrays, crash-stop accounting,
 one :meth:`RoundKernel.step` call per round and the round's
-:class:`~repro.obs.RoundBatch`.
+:class:`~repro.obs.RoundBatch`, with numpy vertex columns and the
+published values kernels report through
+:meth:`VectorRun.record_publish`.  Observers of any kind ride along:
+the resulting telemetry (metrics summaries, trace bytes) is identical
+to the other engines'.
 
 **Fallback rules.**  The backend decides once per run whether it can
 build that stepper, and runs the fast per-node engine instead whenever
 vectorized execution could not be bit-identical or is impossible:
 
 - no kernel is registered for the algorithm's type;
-- a *legacy* (non batch-capable) observer is attached — per-event
-  callbacks require per-node stepping.  Batch-capable observers
-  (:class:`repro.obs.BatchRunObserver` subclasses, which includes
-  ``MetricsObserver`` and ``JsonlTraceObserver``) stay on the
-  vectorized path: the loop delivers whole rounds columnar-ly via
-  ``on_round_batch``, with kernels reporting their published values
-  through :meth:`VectorRun.record_publish`, and the resulting
-  telemetry (metrics summaries, trace bytes) is identical to the
-  scalar engines' per-event stream;
 - the active fault plan touches messages (drop/duplicate/corrupt need
   materialized per-port inboxes) — round budgets stay on the
   vectorized path, and so do crash-stop faults when the kernel
@@ -48,11 +43,7 @@ vectorized execution could not be bit-identical or is impossible:
   palettes, missing inputs) where the scalar path is the spec.
 
 The fallback is an implementation detail: callers always observe
-engine-identical behavior, including error behavior.  One documented
-exception on *raising* observed runs: the batched stream stops at the
-last completed round boundary, whereas the scalar stream may include a
-prefix of the partial round (both satisfy the observer contract's
-"the stream simply stops").
+engine-identical behavior, including error behavior and telemetry.
 """
 
 from __future__ import annotations
@@ -257,9 +248,9 @@ class VectorRun:
         self.failures: Dict[int, str] = {}
         #: Vertices halted in the round being executed (stepper-reset).
         self.halted_this_round = 0
-        #: True when batch-capable observers are attached; kernels must
-        #: then report publishes via :meth:`record_publish` (a no-op
-        #: otherwise, so the unobserved hot path pays one bool test).
+        #: True when observers are attached; kernels must then report
+        #: publishes via :meth:`record_publish` (a no-op otherwise, so
+        #: the unobserved hot path pays one bool test).
         self.observing = False
         self._pub_segments: List[Tuple[np.ndarray, Any, Any, Any, Any]] = []
         self._halt_segments: List[Tuple[np.ndarray, List[Any]]] = []
@@ -750,9 +741,6 @@ def run_local_vectorized(
     stepper: Optional[_KernelStepper] = None
     if (
         kernel_cls is not None
-        # Legacy per-event observers need per-node stepping; batch
-        # capable ones consume columnar on_round_batch deliveries.
-        and all(getattr(obs, "batch_capable", False) for obs in attached)
         # Message perturbation happens per materialized inbox slot.
         and not (faults is not None and faults.touches_messages)
         # Crash-stop freezes published state; only kernels declaring

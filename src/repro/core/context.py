@@ -156,12 +156,9 @@ class NodeContext:
         """The value :meth:`publish` staged this round, or the visible
         value if nothing was staged.
 
-        Read-only spectator view for observers (see
-        ``docs/observability.md``): during a round, ``published`` is
-        still last round's value (double buffering); this is what will
-        become visible at the round boundary.  Observers must treat the
-        context as read-only — mutating it from a callback is flagged
-        by static-analysis rule LM008.
+        During a round, ``published`` is still last round's value
+        (double buffering); this is what will become visible at the
+        round boundary.
         """
         if self._pub_dirty:
             return self._next_pub

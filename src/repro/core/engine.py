@@ -42,20 +42,23 @@ whole round:
   see ``docs/sharding.md``.
 
 A backend that cannot build its stepper for a run (no kernel, an
-unsupported observer or fault plan, no ``fork``) runs
-:func:`_run_local_fast` instead.  ``"reference"``
-(:func:`run_local_reference`) keeps its own straight-line loop,
-deliberately: it is the oracle the equivalence suite compares every
-other backend against (see ``docs/performance.md``).
+unsupported fault plan, no ``fork``) runs :func:`_run_local_fast`
+instead.  ``"reference"`` (:func:`run_local_reference`) keeps its own
+straight-line loop, deliberately: it is the oracle the equivalence
+suite compares every other backend against (see
+``docs/performance.md``).
 
 Every engine accepts *observers* (``observers=[...]`` or ambiently via
-:func:`observe_runs`): read-only spectators implementing the
-``repro.obs.RunObserver`` callback protocol.  Dispatch is guarded by a
-single ``hub is not None`` test, so runs without observers pay nothing,
-and all engines emit **identical event streams** for the same run —
-per-node events are delivered in ascending vertex order and
-bulk-accounted sleeping rounds are reported through synthesized
-round-start/round-end events.  See ``docs/observability.md``.
+:func:`observe_runs`): read-only :class:`repro.obs.RunObserver`
+spectators.  Every engine, the reference loop included, delivers a run
+to them the same way — ``on_run_start`` and ``on_backend_info`` once
+setup succeeded, one ``RoundBatch`` per round (bulk-skipped sleeping
+rounds included), ``on_run_fault`` for a spent round budget, then
+``on_run_end`` or ``on_run_abort`` — and all engines deliver
+**identical batches** for the same run, their columns in ascending
+vertex order.  The per-vertex engines record a round's columns behind
+a single ``events is not None`` test, so runs without observers pay
+nothing.  See ``docs/observability.md``.
 
 Every engine also accepts a *fault plan* (``fault_plan=...`` or
 ambiently via :func:`inject_faults`): a seeded, deterministic adversary
@@ -178,76 +181,81 @@ class RunMeta:
     graph: Optional[Graph] = None
 
 
-class _ObserverHub:
-    """Fans one engine event out to every attached observer.
+class _Events:
+    """One round's observed events (or the setup pass's), appended in
+    scan order to plain-list :class:`~repro.obs.RoundBatch` columns.
 
-    The engines hold ``hub = None`` when nothing is attached, so the
+    The engines hold ``events = None`` when nothing is attached, so the
     hot loop pays exactly one ``is not None`` test per vertex-step; all
-    per-event work lives behind that guard.  Observer exceptions
-    propagate — a broken observer must fail loudly, not silently skew
-    what it measures.
+    per-event work lives behind that guard.
     """
 
-    __slots__ = ("observers",)
+    __slots__ = (
+        "stepped",
+        "published",
+        "values",
+        "halted",
+        "outputs",
+        "failed",
+        "reasons",
+        "faults",
+    )
 
-    def __init__(self, observers: Sequence[Any]) -> None:
-        self.observers = tuple(observers)
+    def __init__(self) -> None:
+        self.stepped: List[int] = []
+        self.published: List[int] = []
+        self.values: List[Any] = []
+        self.halted: List[int] = []
+        self.outputs: List[Any] = []
+        self.failed: List[int] = []
+        self.reasons: List[str] = []
+        self.faults: List[Tuple[int, Any]] = []
 
-    def run_start(self, meta: RunMeta) -> None:
-        for obs in self.observers:
-            obs.on_run_start(meta)
+    def settle(self, v: int, ctx: NodeContext) -> None:
+        """Append ``v``'s publish (uncommitted yet), then its failure or
+        halt."""
+        if ctx._pub_dirty:
+            self.published.append(v)
+            self.values.append(ctx._next_pub)
+        if ctx.failure is not None:
+            self.failed.append(v)
+            self.reasons.append(ctx.failure)
+        elif ctx.halted:
+            self.halted.append(v)
+            self.outputs.append(ctx.output)
 
-    def round_start(self, round_index: int, active: int) -> None:
-        for obs in self.observers:
-            obs.on_round_start(round_index, active)
+    def crash(self, v: int, fault: Any, reason: str) -> None:
+        """Append a crash-stop: its fault, then its failure."""
+        self.faults.append((v, fault))
+        self.failed.append(v)
+        self.reasons.append(reason)
 
-    def node_step(
-        self, round_index: int, vertex: int, ctx: NodeContext
-    ) -> None:
-        for obs in self.observers:
-            obs.on_node_step(round_index, vertex, ctx)
-
-    def publish(self, round_index: int, vertex: int, value: Any) -> None:
-        for obs in self.observers:
-            obs.on_publish(round_index, vertex, value)
-
-    def halt(self, round_index: int, vertex: int, output: Any) -> None:
-        for obs in self.observers:
-            obs.on_halt(round_index, vertex, output)
-
-    def failure(self, round_index: int, vertex: int, reason: str) -> None:
-        for obs in self.observers:
-            obs.on_failure(round_index, vertex, reason)
-
-    def fault(
-        self, round_index: int, vertex: Optional[int], fault: Any
-    ) -> None:
-        """An injected fault (``vertex`` is None for run-level faults
-        like budget exhaustion)."""
-        for obs in self.observers:
-            obs.on_fault(round_index, vertex, fault)
-
-    def round_end(
+    def batch(
         self,
         round_index: int,
+        active: int,
         awake: int,
         halted: int,
         messages: int,
-    ) -> None:
-        for obs in self.observers:
-            obs.on_round_end(round_index, awake, halted, messages)
+    ) -> Any:
+        """The columns as a :class:`~repro.obs.RoundBatch`."""
+        from ..obs.observer import RoundBatch
 
-    def run_end(self, result: "RunResult") -> None:
-        for obs in self.observers:
-            obs.on_run_end(result)
-
-    def run_abort(self, round_index: int, error: BaseException) -> None:
-        """The run died (algorithm exception, injected budget, kill
-        signal surfacing as ``KeyboardInterrupt``) before ``run_end``.
-        Observers that buffer output flush here so partial runs keep
-        their telemetry; the exception keeps propagating afterwards."""
-        for obs in self.observers:
-            obs.on_run_abort(round_index, error)
+        return RoundBatch(
+            round_index,
+            active=active,
+            awake=awake,
+            halted=halted,
+            messages=messages,
+            stepped=self.stepped,
+            published=self.published,
+            publish_values=self.values,
+            halted_verts=self.halted,
+            halt_values=self.outputs,
+            failed=self.failed,
+            fail_reasons=self.reasons,
+            faults=self.faults,
+        )
 
 
 #: Ambiently attached observers (see :func:`observe_runs`).
@@ -319,33 +327,56 @@ def observe_runs(*observers: Any) -> Iterator[None]:
 def _attached_observers(
     observers: Optional[Sequence[Any]],
 ) -> Tuple[Any, ...]:
-    """Explicit observers first, then the ambient ``observe_runs`` set."""
+    """Explicit observers first, then the ambient ``observe_runs`` set.
+
+    Engines deliver round batches only, so an object without
+    ``on_round_batch`` is refused here, before the run starts, rather
+    than dying mid-run.
+    """
+    attached = _GLOBAL_OBSERVERS
     if observers:
-        return tuple(observers) + _GLOBAL_OBSERVERS
-    return _GLOBAL_OBSERVERS
+        attached = tuple(observers) + attached
+    for obs in attached:
+        if not callable(getattr(obs, "on_round_batch", None)):
+            raise TypeError(
+                f"{type(obs).__name__} cannot observe runs: it has no "
+                "on_round_batch — subclass repro.obs.RunObserver"
+            )
+    return attached
+
+
+def _open_run(
+    observers: Tuple[Any, ...],
+    meta: RunMeta,
+    backend_info: Tuple[str, Optional[str]],
+    setup_batch: Any,
+) -> None:
+    """Open a run on every observer once its setup pass succeeded: the
+    run start, the engine's name, then the setup batch."""
+    for obs in observers:
+        obs.on_run_start(meta)
+    for obs in observers:
+        obs.on_backend_info(*backend_info)
+    for obs in observers:
+        obs.on_round_batch(setup_batch)
 
 
 def _run_setup(
     contexts: List[NodeContext],
     algorithm: SyncAlgorithm,
     clock: _Clock,
-    hub: Optional[_ObserverHub],
+    events: Optional[_Events],
 ) -> None:
     """Round-free setup pass, shared verbatim by every per-node engine.
 
-    Observer events fired here carry :data:`SETUP_ROUND` (-1): publishes
-    and halts that happen before the first communication round.
+    Its events (publishes and halts before the first communication
+    round) go to ``events``, the setup batch at :data:`SETUP_ROUND`.
     """
     for v, ctx in enumerate(contexts):
         ctx._clock = clock
         algorithm.setup(ctx)
-        if hub is not None:
-            if ctx._pub_dirty:
-                hub.publish(SETUP_ROUND, v, ctx._next_pub)
-            if ctx.failure is not None:
-                hub.failure(SETUP_ROUND, v, ctx.failure)
-            elif ctx.halted:
-                hub.halt(SETUP_ROUND, v, ctx.output)
+        if events is not None:
+            events.settle(v, ctx)
         ctx._commit()
 
 
@@ -493,11 +524,11 @@ def run_local(
     max_rounds:
         Safety cap; exceeding it raises :class:`SimulationError`.
     observers:
-        Read-only spectators implementing the ``repro.obs.RunObserver``
-        callback protocol (combined with any ambient
-        :func:`observe_runs` observers).  Attaching observers never
-        changes the :class:`RunResult`; with none attached the
-        dispatch costs one pointer test per vertex-step.
+        Read-only :class:`repro.obs.RunObserver` spectators (combined
+        with any ambient :func:`observe_runs` observers); an object
+        without ``on_round_batch`` raises ``TypeError``.  Attaching
+        observers never changes the :class:`RunResult`; with none
+        attached the recording costs one pointer test per vertex-step.
     fault_plan:
         A :class:`repro.faults.FaultPlan` adversary (overrides any
         ambient :func:`inject_faults` plan).  Fault decisions are a
@@ -728,18 +759,14 @@ class Stepper:
     round the next sleeper wakes; ``step(rounds)`` executes one whole
     round and returns ``(awake, halted)``.  ``capture`` may run at any
     boundary, ``round_batch`` (the setup pass's or the last round's
-    RoundBatch) only on the batch plane, ``finish()`` returns
+    RoundBatch) only when observers are attached, ``finish()`` returns
     ``(outputs, failures)``, and ``close()`` runs last whatever
     happened.
     """
 
     #: Snapshot format this stepper captures and restores.
     format = "scalar"
-    #: Per-event observer hub (``_ObserverHub``'s methods) the stepper
-    #: feeds per vertex itself; when None, the loop delivers observers
-    #: one RoundBatch per round.
-    hub: Optional[Any] = None
-    #: ``on_backend_info`` arguments for batch-plane observers.
+    #: ``on_backend_info`` arguments: the backend and kernel that ran.
     backend_info: Tuple[str, Optional[str]] = ("", None)
 
     def setup(self) -> bool:
@@ -845,23 +872,18 @@ def run_rounds(
     next wake, clamped at the cap and the budget, so both guards fire
     at exactly the round the reference engine reaches them) or let the
     stepper execute one round.  Skipped rounds still get a trace row
-    and round events with the counts the reference engine reports for
-    them: every parked vertex active, nobody awake, nobody halting.
+    and an empty round batch with the counts the reference engine
+    reports for them: every parked vertex active, nobody awake, nobody
+    halting.
 
-    Observers ride one of two planes.  A stepper with a per-event
-    :attr:`Stepper.hub` (built over the same ``observers``) reports
-    per-vertex events itself, and the loop adds the run start and round
-    boundaries on that hub.  Otherwise the loop hands ``observers`` one
-    ``RoundBatch`` per round, opened — only once setup succeeded — by
-    ``on_run_start``, ``on_backend_info`` and the setup batch.  Either
-    way every observer sees ``on_run_end``, or ``on_run_abort`` when
-    the run raises.
+    Observers get one ``RoundBatch`` per round.  A run opens — only
+    once setup succeeded — with ``on_run_start``, ``on_backend_info``
+    and the setup batch, and closes with ``on_run_end``, or with
+    ``on_run_abort`` when it raises (setup included).
 
     Returns None only when the stepper declined the run in ``setup``.
     """
-    hub = stepper.hub
-    batched = observers if hub is None else ()
-    if batched:
+    if observers:
         from ..obs.observer import RoundBatch
     state = RunState(stepper)
     resumed = (
@@ -876,23 +898,20 @@ def run_rounds(
     try:
         if checkpoint is not None and resumed is not None:
             # Resume: the snapshot replaces run_start + setup — the
-            # restored observers already emitted those events in the
+            # restored observers already received those in the
             # interrupted process, and the restored state already
             # carries its post-setup values.
             checkpoint.restore_engine(state, resumed)
         else:
-            if hub is not None:
-                hub.run_start(meta)
             if not stepper.setup():
                 return None
-            for obs in batched:
-                obs.on_run_start(meta)
-            for obs in batched:
-                obs.on_backend_info(*stepper.backend_info)
-            if batched:
-                setup_batch = stepper.round_batch(SETUP_ROUND, 0, 0, 0, 0)
-                for obs in batched:
-                    obs.on_round_batch(setup_batch)
+            if observers:
+                _open_run(
+                    observers,
+                    meta,
+                    stepper.backend_info,
+                    stepper.round_batch(SETUP_ROUND, 0, 0, 0, 0),
+                )
         rounds = state.rounds
         messages = state.messages
         traces = state.traces
@@ -907,9 +926,7 @@ def run_rounds(
                 checkpoint.save(state, rounds)
             if budget is not None and rounds >= budget:
                 budget_error = faults.budget_error(rounds)
-                if hub is not None:
-                    hub.fault(rounds, None, budget_error)
-                for obs in batched:
+                for obs in observers:
                     # Run-level fault: delivered at once, never part of
                     # a batch — the round it interrupts never ends.
                     obs.on_run_fault(rounds, budget_error)
@@ -931,34 +948,26 @@ def run_rounds(
                         RoundTrace(active=active, awake=0, halted=0)
                         for _ in range(rounds, skip_to)
                     )
-                if hub is not None:
-                    for r in range(rounds, skip_to):
-                        hub.round_start(r, active)
-                        hub.round_end(r, 0, 0, messages_per_round)
-                if batched:
+                if observers:
                     for r in range(rounds, skip_to):
                         empty = RoundBatch(
                             r, active=active, messages=messages_per_round
                         )
-                        for obs in batched:
+                        for obs in observers:
                             obs.on_round_batch(empty)
                 messages += (skip_to - rounds) * messages_per_round
                 rounds = skip_to
                 continue
-            if hub is not None:
-                hub.round_start(rounds, active)
             awake, halted = stepper.step(rounds)
             if trace:
                 traces.append(
                     RoundTrace(active=active, awake=awake, halted=halted)
                 )
-            if hub is not None:
-                hub.round_end(rounds, awake, halted, messages_per_round)
-            if batched:
+            if observers:
                 batch = stepper.round_batch(
                     rounds, active, awake, halted, messages_per_round
                 )
-                for obs in batched:
+                for obs in observers:
                     obs.on_round_batch(batch)
             rounds += 1
             messages += messages_per_round
@@ -1000,8 +1009,10 @@ class NodeStepper(Stepper):
       ``buckets[w]`` and touched exactly once, when round ``w`` starts.
 
     The sharded backend's workers run this stepper over the vertices
-    their shard owns, with a segment recorder as the hub.
+    their shard owns and ship its batch columns to the parent.
     """
+
+    backend_info = ("fast", None)
 
     def __init__(
         self,
@@ -1009,12 +1020,13 @@ class NodeStepper(Stepper):
         algorithm: SyncAlgorithm,
         contexts: List[NodeContext],
         faults: Optional[Any],
-        hub: Optional[Any],
+        observing: bool,
     ) -> None:
         self.algorithm = algorithm
         self.contexts = contexts
         self.faults = faults
-        self.hub = hub
+        #: The current round's batch columns; None when unobserved.
+        self.events: Optional[_Events] = _Events() if observing else None
         self.deliver = (
             faults.deliver
             if faults is not None and faults.touches_messages
@@ -1035,7 +1047,7 @@ class NodeStepper(Stepper):
         self.failed_vertex: Optional[int] = None
 
     def setup(self) -> bool:
-        _run_setup(self.contexts, self.algorithm, self.clock, self.hub)
+        _run_setup(self.contexts, self.algorithm, self.clock, self.events)
         self.visible = [ctx._pub for ctx in self.contexts]
         return True
 
@@ -1093,10 +1105,10 @@ class NodeStepper(Stepper):
 
     def step(self, rounds: int) -> Tuple[int, int]:
         self.clock.now = rounds
-        hub = self.hub
+        events = self.events
         runnable = self.runnable
-        if hub is not None:
-            # Canonical event order: the reference engine scans
+        if events is not None:
+            # Canonical column order: the reference engine scans
             # vertices ascending, so the observed fast engine does too
             # (per-round vertex steps are order-independent under
             # double buffering — RunResult is unchanged).
@@ -1127,18 +1139,16 @@ class NodeStepper(Stepper):
                     reason = faults.crash_reason(rounds)
                     ctx.fail(reason)
                     halted_this_round += 1
-                    if hub is not None:
-                        hub.fault(rounds, v, faults.crash_event(rounds, v))
-                        hub.failure(rounds, v, reason)
+                    if events is not None:
+                        events.crash(v, faults.crash_event(rounds, v), reason)
                     continue
                 lo = offsets[v]
                 hi = offsets[v + 1]
                 inbox = [visible[u] for u in targets[lo:hi]]
                 if deliver is not None:
-                    events = deliver(rounds, v, inbox, hub is not None)
-                    if events and hub is not None:
-                        for injected in events:
-                            hub.fault(rounds, v, injected)
+                    injected = deliver(rounds, v, inbox, events is not None)
+                    if events is not None and injected:
+                        events.faults.extend((v, fault) for fault in injected)
                 step(ctx, inbox)
                 if ctx._pub_dirty:
                     dirty.append(v)
@@ -1151,14 +1161,9 @@ class NodeStepper(Stepper):
                         parked += 1
                     else:
                         next_runnable.append(v)
-                if hub is not None:
-                    hub.node_step(rounds, v, ctx)
-                    if ctx._pub_dirty:
-                        hub.publish(rounds, v, ctx._next_pub)
-                    if ctx.failure is not None:
-                        hub.failure(rounds, v, ctx.failure)
-                    elif ctx.halted:
-                        hub.halt(rounds, v, ctx.output)
+                if events is not None:
+                    events.stepped.append(v)
+                    events.settle(v, ctx)
         except BaseException:
             # Name the failing vertex: the sharded backend raises the
             # error of the lowest one across its shards, as a serial
@@ -1176,6 +1181,23 @@ class NodeStepper(Stepper):
         self.parked = parked
         self.dirty = dirty
         return len(runnable), halted_this_round
+
+    def drain(self) -> _Events:
+        """Hand over the batch columns recorded since the last drain."""
+        events = self.events
+        assert events is not None  # only called on observed runs
+        self.events = _Events()
+        return events
+
+    def round_batch(
+        self,
+        round_index: int,
+        active: int,
+        awake: int,
+        halted: int,
+        messages: int,
+    ) -> Any:
+        return self.drain().batch(round_index, active, awake, halted, messages)
 
     def finish(self) -> Tuple[List[Any], Dict[int, str]]:
         contexts = self.contexts
@@ -1203,9 +1225,8 @@ def _run_local_fast(
     checkpoint: Optional[CheckpointSession] = None,
 ) -> RunResult:
     """The ``"fast"`` backend: the per-node stepper on the shared
-    round loop, with every observer on the per-event plane.  The other
-    backends call it directly when they cannot build their own
-    stepper."""
+    round loop.  The other backends call it directly when they cannot
+    build their own stepper."""
     contexts = build_contexts(
         graph,
         model,
@@ -1220,9 +1241,8 @@ def _run_local_fast(
         graph, algorithm, model, max_rounds, seed, fault_plan
     )
     attached = _attached_observers(observers)
-    hub = _ObserverHub(attached) if attached else None
     result = run_rounds(
-        NodeStepper(graph, algorithm, contexts, faults, hub),
+        NodeStepper(graph, algorithm, contexts, faults, bool(attached)),
         meta,
         faults,
         attached,
@@ -1278,8 +1298,8 @@ def run_local_reference(
     equivalence suite and as the baseline the perf harness measures
     speedups against; it must stay a direct transcription of the model.
 
-    Observers attached here see the exact same event stream as under
-    the fast engine — the telemetry determinism contract the
+    Observers attached here receive the exact same round batches as
+    under the fast engine — the telemetry determinism contract the
     equivalence suite pins down.  Fault plans likewise inject the exact
     same faults: decisions are hash-derived per (round, vertex, port),
     never drawn sequentially, so vertex scan order cannot skew them.
@@ -1296,7 +1316,7 @@ def run_local_reference(
     )
     n = graph.num_vertices
     attached = _attached_observers(observers)
-    hub = _ObserverHub(attached) if attached else None
+    events = _Events() if attached else None
     meta = RunMeta(
         algorithm=algorithm.name,
         model=model,
@@ -1328,9 +1348,15 @@ def run_local_reference(
                 ctx._clock = clock
             clock.now = state.rounds
         else:
-            if hub is not None:
-                hub.run_start(meta)
-            _run_setup(contexts, algorithm, clock, hub)
+            _run_setup(contexts, algorithm, clock, events)
+            if events is not None:
+                _open_run(
+                    attached,
+                    meta,
+                    ("reference", None),
+                    events.batch(SETUP_ROUND, 0, 0, 0, 0),
+                )
+                events = _Events()
 
         rounds = state.rounds
         messages = state.messages
@@ -1350,8 +1376,8 @@ def run_local_reference(
                 checkpoint.save(state, rounds)
             if budget is not None and rounds >= budget:
                 budget_error = faults.budget_error(rounds)
-                if hub is not None:
-                    hub.fault(rounds, None, budget_error)
+                for obs in attached:
+                    obs.on_run_fault(rounds, budget_error)
                 raise budget_error
             if rounds >= max_rounds:
                 raise SimulationError(
@@ -1361,8 +1387,6 @@ def run_local_reference(
                     run_meta=meta,
                 )
             clock.now = rounds
-            if hub is not None:
-                hub.round_start(rounds, len(active))
             snapshot = [ctx._pub for ctx in contexts]
             dirty = False
             awake = 0
@@ -1381,28 +1405,21 @@ def run_local_reference(
                     ctx.fail(reason)
                     dirty = True
                     halted_this_round += 1
-                    if hub is not None:
-                        hub.fault(rounds, v, faults.crash_event(rounds, v))
-                        hub.failure(rounds, v, reason)
+                    if events is not None:
+                        events.crash(v, faults.crash_event(rounds, v), reason)
                     continue
                 inbox = [snapshot[u] for u in graph.neighbors(v)]
                 if deliver is not None:
-                    events = deliver(rounds, v, inbox, hub is not None)
-                    if events and hub is not None:
-                        for injected in events:
-                            hub.fault(rounds, v, injected)
+                    injected = deliver(rounds, v, inbox, events is not None)
+                    if events is not None and injected:
+                        events.faults.extend((v, fault) for fault in injected)
                 algorithm.step(ctx, inbox)
                 if ctx.halted:
                     dirty = True
                     halted_this_round += 1
-                if hub is not None:
-                    hub.node_step(rounds, v, ctx)
-                    if ctx._pub_dirty:
-                        hub.publish(rounds, v, ctx._next_pub)
-                    if ctx.failure is not None:
-                        hub.failure(rounds, v, ctx.failure)
-                    elif ctx.halted:
-                        hub.halt(rounds, v, ctx.output)
+                if events is not None:
+                    events.stepped.append(v)
+                    events.settle(v, ctx)
             for v in active:
                 contexts[v]._commit()
             if trace:
@@ -1413,17 +1430,24 @@ def run_local_reference(
                         halted=halted_this_round,
                     )
                 )
-            if hub is not None:
-                hub.round_end(
-                    rounds, awake, halted_this_round, messages_per_round
+            if events is not None:
+                batch = events.batch(
+                    rounds,
+                    len(active),
+                    awake,
+                    halted_this_round,
+                    messages_per_round,
                 )
+                events = _Events()
+                for obs in attached:
+                    obs.on_round_batch(batch)
             if dirty:
                 active = [v for v in active if not contexts[v].halted]
             rounds += 1
             messages += messages_per_round
     except BaseException as exc:
-        if hub is not None:
-            hub.run_abort(rounds, exc)
+        for obs in attached:
+            obs.on_run_abort(rounds, exc)
         raise
 
     failures = {
@@ -1437,8 +1461,8 @@ def run_local_reference(
         failures=failures,
         trace=traces,
     )
-    if hub is not None:
-        hub.run_end(result)
+    for obs in attached:
+        obs.on_run_end(result)
     return result
 
 

@@ -125,7 +125,8 @@ class FaultEvent(ReproError):
     """Base class of every *injected* fault (see :mod:`repro.faults`).
 
     Instances double as structured event records: the engine hands them
-    to observers via ``on_fault`` and the JSONL trace serializes the
+    to observers in a round batch's ``faults`` column (or via
+    ``on_run_fault``) and the JSONL trace serializes the
     ``kind``/``port``/``detail`` fields (trace schema v2).  Node
     algorithm code must never swallow these (static-analysis rule
     LM009): faults surface to the engine and the harness, which is

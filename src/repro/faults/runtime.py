@@ -165,8 +165,8 @@ class FaultRuntime:
         beats **duplicate** (receiver sees the previous delivery on the
         port again — its own first delivery when there was none); the
         **corruption hook** then rewrites whatever non-dropped payload
-        remains.  Returns the injected-fault events (for the observer
-        hub) when ``record`` is true, else ``None`` — decisions are
+        remains.  Returns the injected-fault events (for the round's
+        batch) when ``record`` is true, else ``None`` — decisions are
         hash-derived, so skipping event construction cannot skew them.
         """
         events: Optional[List[FaultEvent]] = [] if record else None

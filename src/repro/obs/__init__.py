@@ -1,14 +1,14 @@
 """Structured telemetry for the LOCAL engine — two planes.
 
-**Plane 1 (deterministic)**: the engines (``run_local``, the reference
-implementation, and the vectorized backend) emit run/round boundaries,
-vertex steps, publishes, halts, failures, and faults to any attached
-:class:`RunObserver`.  Scalar engines deliver one callback per event;
-the vectorized backend delivers whole rounds at once to
-:class:`BatchRunObserver` subclasses via columnar :class:`RoundBatch`
-payloads — same facts, different shape.  Everything on this plane is
-held to byte-identity: summaries and trace bytes are identical across
-engines, backends, and repeated runs of the same seed.
+**Plane 1 (deterministic)**: every engine (``run_local`` on any
+backend, and the reference implementation) delivers each run to every
+attached :class:`RunObserver` as run boundaries plus one columnar
+:class:`RoundBatch` per round — vertex steps, publishes, halts,
+failures, and faults.  Per-event callbacks are a one-way adapter on
+:class:`RunObserver` (:func:`iter_scalar_events` order).  Everything on
+this plane is held to byte-identity: summaries and trace bytes are
+identical across engines, backends, and repeated runs of the same
+seed.
 
 - :class:`MetricsObserver` — counters/gauges/histograms: message and
   payload-byte accounting, awake fractions, per-node halt rounds, and
@@ -48,7 +48,6 @@ from .metrics import (
     merge_summaries,
 )
 from .observer import (
-    BatchRunObserver,
     RoundBatch,
     RunObserver,
     iter_scalar_events,
@@ -85,7 +84,6 @@ from .trace import (
 )
 
 __all__ = [
-    "BatchRunObserver",
     "EMISSION_MODES",
     "EXPORT_SCHEMA",
     "EXPORT_VERSION",

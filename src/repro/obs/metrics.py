@@ -24,9 +24,9 @@ combines them deterministically (counters add, gauges take the max,
 histograms pool their moments) and refuses summaries it cannot merge
 faithfully (foreign schema, newer version, unknown metric type).
 
-The observer is batch-capable (:class:`~repro.obs.BatchRunObserver`):
-on the scalar engines it accumulates from per-event callbacks, on the
-vectorized backend from columnar ``on_round_batch`` deliveries — both
+The observer reads whole round batches, column by column: plain-list
+columns (the per-node engines and the sharded backend) in pure Python,
+numpy columns (the vectorized backend) as array reductions.  Both
 paths produce the *same summary*, a contract pinned per backend by the
 observer-neutrality relation in :mod:`repro.verify`.  Histogram totals
 stay exact under bulk accumulation because every observed value is an
@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.engine import RunMeta, RunResult, SETUP_ROUND, flat_adjacency
-from .observer import BatchRunObserver, RoundBatch, iter_scalar_events
+from .observer import RoundBatch, RunObserver
 
 #: Schema version written by :meth:`MetricsObserver.summary`.  v2 added
 #: the run-outcome counters (``runs_succeeded_total`` etc.) and the
@@ -185,7 +185,7 @@ class MetricsRegistry:
         }
 
 
-class MetricsObserver(BatchRunObserver):
+class MetricsObserver(RunObserver):
     """Populate a :class:`MetricsRegistry` from engine events.
 
     One instance may watch several runs (every phase of a driver under
@@ -194,12 +194,11 @@ class MetricsObserver(BatchRunObserver):
     ``on_run_start``.  Setup-round publishes are folded into the first
     round's payload accounting.
 
-    Batch-capable with two disjoint accumulation paths: the scalar
-    callbacks below (every one overridden, so the base-class shim never
-    engages) and :meth:`on_round_batch` for columnar deliveries.  When
-    a batch arrives with numpy columns, per-run locality state flips to
-    numpy arrays for that run and ball-growth becomes one CSR segment
-    reduction per round — same numbers, no per-vertex Python work.
+    Each batch is accumulated column-wise: plain-list columns in pure
+    Python, numpy columns with numpy.  The first numpy batch of a run
+    moves its locality state into numpy arrays, and ball-growth becomes
+    one CSR segment reduction per round — same numbers, no per-vertex
+    Python work.
     """
 
     checkpoint_capable = True
@@ -210,7 +209,7 @@ class MetricsObserver(BatchRunObserver):
         Everything mutable lives in ``__dict__`` (registry, curves,
         per-run locality arrays), and all of it is plain data or numpy
         arrays — picklable by construction.  The snapshot is taken at a
-        round boundary, so no partially-assembled batch exists.
+        round boundary, between batches.
         """
         return dict(self.__dict__)
 
@@ -222,7 +221,6 @@ class MetricsObserver(BatchRunObserver):
         self.__dict__.update(state)
 
     def __init__(self) -> None:
-        super().__init__()
         self.registry = MetricsRegistry()
         self.runs = 0
         #: Per-run, per-round curve: list (over runs) of lists of dicts.
@@ -241,7 +239,6 @@ class MetricsObserver(BatchRunObserver):
         self._pending_np: List[Tuple[Any, Any]] = []
         self._csr: Any = None
 
-    # -- engine callbacks ----------------------------------------------
     def on_run_start(self, meta: RunMeta) -> None:
         self.runs += 1
         self.round_curves.append([])
@@ -258,85 +255,64 @@ class MetricsObserver(BatchRunObserver):
         self._pending_np = []
         self._csr = None
 
-    def on_round_start(self, round_index: int, active: int) -> None:
-        # Publishes staged last round (or in setup) became visible at
-        # this round boundary — commit their information radii, exactly
-        # like the engine's double buffering commits values.
-        if self._pending_radius:
-            for v, r in self._pending_radius.items():
-                self._pub_radius[v] = r
-            self._pending_radius = {}
-
-    def on_node_step(
-        self, round_index: int, vertex: int, ctx: Any
-    ) -> None:
-        if self._graph is not None:
-            grown = self._radius[vertex]
-            for u in self._graph.neighbors(vertex):
-                reach = self._pub_radius[u] + 1
-                if reach > grown:
-                    grown = reach
-            self._radius[vertex] = grown
-
-    def on_publish(
-        self, round_index: int, vertex: int, value: Any
-    ) -> None:
-        size = estimate_payload_bytes(value)
-        self.registry.counter("publishes_total").inc()
-        self.registry.counter("payload_bytes_total").inc(size)
-        self._round_payload += size
-        self._round_publishes += 1
-        if self._radius:
-            self._pending_radius[vertex] = self._radius[vertex]
-
-    def on_halt(self, round_index: int, vertex: int, output: Any) -> None:
-        self.registry.counter("halted_total").inc()
-        self.registry.histogram("halt_round").observe(round_index)
-        if self._radius:
-            self.registry.histogram("locality_radius").observe(
-                self._radius[vertex]
+    def on_round_batch(self, batch: RoundBatch) -> None:
+        if not self._vec and (
+            hasattr(batch.stepped, "dtype")
+            or hasattr(batch.published, "dtype")
+            or hasattr(batch.halted_verts, "dtype")
+        ):
+            self._enter_vector_mode()
+        if self._vec:
+            payload, radii = self._columns_np(batch)
+        else:
+            payload, radii = self._columns_list(batch)
+        registry = self.registry
+        r = batch.round_index
+        for _, fault in batch.faults:
+            self._count_fault(fault)
+        npub = len(batch.published)
+        if npub:
+            registry.counter("publishes_total").inc(npub)
+            registry.counter("payload_bytes_total").inc(payload)
+            self._round_payload += payload
+            self._round_publishes += npub
+        nhalt = len(batch.halted_verts)
+        if nhalt:
+            registry.counter("halted_total").inc(nhalt)
+            _observe_bulk(
+                registry.histogram("halt_round"), nhalt, r * nhalt, r, r
             )
-
-    def on_failure(
-        self, round_index: int, vertex: int, reason: str
-    ) -> None:
-        self.registry.counter("failed_total").inc()
-
-    def on_fault(
-        self, round_index: int, vertex: Optional[int], fault: Any
-    ) -> None:
-        # Injected-fault accounting (see repro.faults): a global count
-        # plus one counter per fault kind, so merged sweep telemetry
-        # reports exactly what the adversary did.
-        self.registry.counter("faults_total").inc()
-        self.registry.counter(f"faults_{fault.kind}_total").inc()
-
-    def on_round_end(
-        self,
-        round_index: int,
-        awake: int,
-        halted: int,
-        messages: int,
-    ) -> None:
-        self.registry.counter("rounds_total").inc()
-        self.registry.counter("messages_total").inc(messages)
-        fraction = awake / self._n if self._n else 0.0
-        self.registry.histogram("awake_fraction").observe(fraction)
-        self.registry.histogram("round_payload_bytes").observe(
+            if radii is not None:
+                _observe_bulk(
+                    registry.histogram("locality_radius"), nhalt, *radii
+                )
+        nfail = len(batch.failed)
+        if nfail:
+            registry.counter("failed_total").inc(nfail)
+        if r == SETUP_ROUND:
+            return
+        registry.counter("rounds_total").inc()
+        registry.counter("messages_total").inc(batch.messages)
+        fraction = batch.awake / self._n if self._n else 0.0
+        registry.histogram("awake_fraction").observe(fraction)
+        registry.histogram("round_payload_bytes").observe(
             self._round_payload
         )
         self.round_curves[-1].append(
             {
-                "round": round_index,
-                "awake": awake,
-                "halted": halted,
-                "messages": messages,
+                "round": r,
+                "awake": batch.awake,
+                "halted": batch.halted,
+                "messages": batch.messages,
                 "publishes": self._round_publishes,
                 "payload_bytes": self._round_payload,
             }
         )
         self._round_payload = 0
         self._round_publishes = 0
+
+    def on_run_fault(self, round_index: int, fault: Any) -> None:
+        self._count_fault(fault)
 
     def on_run_end(self, result: RunResult) -> None:
         if self._vec:
@@ -359,53 +335,71 @@ class MetricsObserver(BatchRunObserver):
             self.registry.counter("runs_succeeded_total").inc()
         self.registry.counter("runs_vertices_total").inc(self._n)
 
-    def on_run_fault(self, round_index: int, fault: Any) -> None:
-        # Vectorized delivery of what the scalar engines report as a
-        # vertex-``None`` ``on_fault`` (round-budget exhaustion).
-        self.on_fault(round_index, None, fault)
+    def _count_fault(self, fault: Any) -> None:
+        # Injected-fault accounting (see repro.faults): a global count
+        # plus one counter per fault kind, so merged sweep telemetry
+        # reports exactly what the adversary did.
+        self.registry.counter("faults_total").inc()
+        self.registry.counter(f"faults_{fault.kind}_total").inc()
 
-    # -- the columnar accumulation path --------------------------------
-    def on_round_batch(self, batch: RoundBatch) -> None:
-        has_np = (
-            hasattr(batch.stepped, "dtype")
-            or hasattr(batch.published, "dtype")
-            or hasattr(batch.halted_verts, "dtype")
-        )
-        if has_np and not self._vec:
-            self._enter_vector_mode()
-        if self._vec:
-            self._batch_np(batch)
-            return
-        # Plain-list batches (the scalar shim's shape): replay the
-        # scalar event order through the per-event callbacks — exact by
-        # construction, and numpy-free.
-        r = batch.round_index
-        if r != SETUP_ROUND:
-            self.on_round_start(r, batch.active)
-        for event in iter_scalar_events(batch):
-            kind = event[0]
-            if kind == "step":
-                self.on_node_step(event[1], event[2], None)
-            elif kind == "publish":
-                self.on_publish(event[1], event[2], event[3])
-            elif kind == "halt":
-                self.on_halt(event[1], event[2], event[3])
-            elif kind == "failure":
-                self.on_failure(event[1], event[2], event[3])
-            elif kind == "fault":
-                self.on_fault(event[1], event[2], event[3])
-        if r != SETUP_ROUND:
-            self.on_round_end(
-                r, batch.awake, batch.halted, batch.messages
-            )
+    # -- the column-type-specific part of a batch ----------------------
+    #
+    # Both return the batch's total payload bytes and the (sum, min,
+    # max) of its halting vertices' locality radii (None without
+    # locality tracking), after ball-growth accounting: publishes
+    # staged last round (or in setup) became visible at this round
+    # boundary, so their information radii are committed first —
+    # exactly like the engine's double buffering commits values — then
+    # every stepping vertex grows its radius to one more than its
+    # farthest-reaching neighbor's, and this round's publishes are
+    # staged with their grown radii.
+
+    def _columns_list(
+        self, batch: RoundBatch
+    ) -> Tuple[int, Optional[Tuple[int, int, int]]]:
+        """Plain-list columns, in pure Python."""
+        radius = self._radius
+        if batch.round_index != SETUP_ROUND:
+            pub_radius = self._pub_radius
+            for v, staged in self._pending_radius.items():
+                pub_radius[v] = staged
+            self._pending_radius = {}
+            graph = self._graph
+            if graph is not None:
+                for v in batch.stepped:
+                    grown = radius[v]
+                    for u in graph.neighbors(v):
+                        reach = pub_radius[u] + 1
+                        if reach > grown:
+                            grown = reach
+                    radius[v] = grown
+        payload = 0
+        if len(batch.published):
+            payload = sum(batch.publish_bytes())
+            if radius:
+                pending = self._pending_radius
+                for v in batch.published:
+                    pending[v] = radius[v]
+        if not (radius and len(batch.halted_verts)):
+            return payload, None
+        radii = [radius[v] for v in batch.halted_verts]
+        return payload, (sum(radii), min(radii), max(radii))
 
     def _enter_vector_mode(self) -> None:
+        """Move this run's locality state into numpy arrays."""
         import numpy as np
 
         self._vec = True
-        self._radius_np = np.zeros(self._n, dtype=np.int64)
-        self._pub_radius_np = np.zeros(self._n, dtype=np.int64)
-        self._pending_np = []
+        self._radius_np = np.asarray(self._radius, dtype=np.int64)
+        self._pub_radius_np = np.asarray(self._pub_radius, dtype=np.int64)
+        pending = self._pending_radius
+        self._pending_np = [
+            (
+                np.fromiter(pending.keys(), np.int64, len(pending)),
+                np.fromiter(pending.values(), np.int64, len(pending)),
+            )
+        ]
+        self._pending_radius = {}
         if self._graph is not None and self._n:
             offsets, targets = flat_adjacency(self._graph)
             self._csr = (
@@ -413,60 +407,36 @@ class MetricsObserver(BatchRunObserver):
                 np.asarray(targets, dtype=np.int64),
             )
 
-    def _batch_np(self, batch: RoundBatch) -> None:
+    def _columns_np(
+        self, batch: RoundBatch
+    ) -> Tuple[int, Optional[Tuple[int, int, int]]]:
+        """Numpy columns (or empty ones), with numpy."""
         import numpy as np
 
-        registry = self.registry
-        r = batch.round_index
         track_radius = self._n > 0
-        if r != SETUP_ROUND:
-            if self._pending_np:
-                for verts, radii in self._pending_np:
-                    self._pub_radius_np[verts] = radii
-                self._pending_np = []
+        if batch.round_index != SETUP_ROUND:
+            for verts, radii in self._pending_np:
+                self._pub_radius_np[verts] = radii
+            self._pending_np = []
             if self._csr is not None and len(batch.stepped):
                 self._grow_radii_np(np, np.asarray(batch.stepped))
-        for vertex, fault in batch.faults:
-            self.on_fault(r, vertex, fault)
-        npub = len(batch.published)
-        if npub:
+        payload = 0
+        if len(batch.published):
             sizes = np.asarray(batch.publish_bytes(), dtype=np.int64)
-            total = int(sizes.sum())
-            registry.counter("publishes_total").inc(npub)
-            registry.counter("payload_bytes_total").inc(total)
-            self._round_payload += total
-            self._round_publishes += npub
+            payload = int(sizes.sum())
             if track_radius:
                 published = np.asarray(batch.published)
                 self._pending_np.append(
                     (published, self._radius_np[published])
                 )
-        nhalt = len(batch.halted_verts)
-        if nhalt:
-            registry.counter("halted_total").inc(nhalt)
-            _observe_bulk(
-                registry.histogram("halt_round"), nhalt, r * nhalt, r, r
-            )
-            if track_radius:
-                radii = self._radius_np[np.asarray(batch.halted_verts)]
-                _observe_bulk(
-                    registry.histogram("locality_radius"),
-                    nhalt,
-                    int(radii.sum()),
-                    int(radii.min()),
-                    int(radii.max()),
-                )
-        nfail = len(batch.failed)
-        if nfail:
-            registry.counter("failed_total").inc(nfail)
-        if r != SETUP_ROUND:
-            self.on_round_end(
-                r, batch.awake, batch.halted, batch.messages
-            )
+        if not (track_radius and len(batch.halted_verts)):
+            return payload, None
+        radii = self._radius_np[np.asarray(batch.halted_verts)]
+        return payload, (int(radii.sum()), int(radii.min()), int(radii.max()))
 
     def _grow_radii_np(self, np: Any, stepped: Any) -> None:
         """Ball-growth for all stepping vertices as one CSR segment
-        reduction — the columnar twin of the ``on_node_step`` loop."""
+        reduction — the numpy twin of :meth:`_columns_list`'s loop."""
         offsets, targets = self._csr
         starts = offsets[stepped]
         counts = offsets[stepped + 1] - starts

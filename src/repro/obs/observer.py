@@ -1,58 +1,46 @@
-"""The observer callback protocol — scalar events and round batches.
+"""The observer protocol: round batches, with a per-event adapter.
 
-:class:`RunObserver` is the no-op base class engine observers derive
-from: subclass it, override the callbacks you care about, and pass
-instances to ``run_local(observers=[...])`` or attach them ambiently
-with :func:`repro.core.observe_runs` (covers every ``run_local`` call a
+:class:`RunObserver` is the base class engine observers derive from:
+subclass it, override the callbacks you care about, and pass instances
+to ``run_local(observers=[...])`` or attach them ambiently with
+:func:`repro.core.observe_runs` (covers every ``run_local`` call a
 multi-phase driver makes).
 
-Ordering contract (identical for the fast and reference engines; the
-equivalence suite pins it):
+Every engine — the reference loop and every backend — calls exactly
+six methods, in this order (the equivalence suite and the
+observer-neutrality relation pin it):
 
-1. ``on_run_start(meta)`` — once, before ``setup``.
-2. Setup events at round index :data:`repro.core.SETUP_ROUND` (-1):
-   per vertex in ascending order, ``on_publish`` if it published, then
-   ``on_failure`` or ``on_halt`` if it failed/halted in ``setup``.
-3. Per executed round ``r``: ``on_round_start(r, active)``; then per
-   *stepping* vertex in ascending order ``on_node_step`` followed by
-   its ``on_publish`` / ``on_failure`` / ``on_halt`` events; then
-   ``on_round_end(r, awake, halted, messages)``.  Rounds where every
-   live vertex sleeps are bulk-accounted by the fast engine but still
-   emit ``on_round_start``/``on_round_end`` (awake = halted = 0).
-4. ``on_run_end(result)`` — once, unless the run raised (e.g. the
-   ``max_rounds`` guard), in which case ``on_run_abort(round, error)``
-   fires instead and the stream stops; flush-style observers finalize
-   there so partial runs keep their telemetry.
+1. ``on_run_start(meta)`` — once, after ``setup`` succeeded; then
+   ``on_backend_info(backend, kernel)`` naming the engine that runs.
+2. ``on_round_batch(batch)`` — the setup pass as one
+   :class:`RoundBatch` at round index :data:`repro.core.SETUP_ROUND`
+   (-1), then one batch per round, bulk-skipped sleeping rounds
+   included (empty columns, ``awake = halted = 0``).
+3. ``on_run_fault(round, fault)`` — round-budget exhaustion, delivered
+   at once right before the run raises
+   :class:`~repro.core.errors.BudgetExceededError`.
+4. ``on_run_end(result)`` — once, unless the run raised, in which case
+   ``on_run_abort(round, error)`` fires instead and the stream stops
+   at the last completed round; a run raising in ``setup`` delivers
+   only ``on_run_abort``.  Flush-style observers finalize there so
+   partial runs keep their telemetry.
 
-Under fault injection (see :mod:`repro.faults`) the per-vertex slot in
-step 3 gains ``on_fault`` events, still engine-identical: a vertex's
-delivery faults (drop/duplicate/corrupt, ports ascending) precede its
-``on_node_step``; a crash-stop vertex emits ``on_fault`` then
-``on_failure`` and **no** ``on_node_step`` (it never stepped).  Budget
-exhaustion emits one run-level ``on_fault`` (vertex ``None``) right
-before the run raises :class:`~repro.core.errors.BudgetExceededError`.
+**Per-event callbacks** (``on_round_start``, ``on_node_step``,
+``on_publish``, ``on_halt``, ``on_failure``, ``on_fault``,
+``on_round_end``) are a one-way adapter: the default
+:meth:`RunObserver.on_round_batch` replays :func:`iter_scalar_events`
+between ``on_round_start`` and ``on_round_end`` (setup batches have
+no round boundaries), with ``ctx=None`` for ``on_node_step``, and the
+default :meth:`RunObserver.on_run_fault` calls ``on_fault(round, None,
+fault)``.  Per vertex, ascending: delivery faults (drop/duplicate/
+corrupt, ports ascending), then the step, then its publish, then its
+failure *or* halt; a crash-stop vertex has a fault and a failure and
+no step.
 
-**Round batches.**  :class:`BatchRunObserver` extends the protocol with
-a columnar delivery path: instead of one callback per event, a backend
-may deliver one :class:`RoundBatch` per round via ``on_round_batch``.
-The ``"vectorized"`` backend emits batches natively (numpy index
-arrays, no per-vertex Python dispatch); on the scalar engines the base
-class's scalar callbacks transparently assemble the same batches from
-per-event callbacks, so a batch observer works everywhere.  A batch
-carries exactly the information of the scalar event stream —
-:func:`iter_scalar_events` reconstructs the per-event order — so both
-delivery paths produce identical telemetry (the observer-neutrality
-relation in ``repro.verify`` pins this per backend).  One caveat on
-raising runs: a batch is delivered at its round boundary, so when the
-run raises mid-round the batched stream omits that final partial round
-while the scalar stream may include its prefix ("the stream simply
-stops" covers both).
-
-Observers are **read-only spectators**.  The ``ctx`` handed to
-``on_node_step`` is live engine state, and the arrays inside a
-:class:`RoundBatch` are shared with the emitting backend: reading is
-fine, calling lifecycle methods, assigning attributes, or writing into
-batch payload arrays is not (rule LM008).
+Observers are **read-only spectators**.  The columns of a
+:class:`RoundBatch` may be shared with the emitting backend: reading
+is fine, assigning attributes or writing into them is not (rule
+LM008).
 """
 
 from __future__ import annotations
@@ -76,13 +64,16 @@ _UNSET = object()
 
 
 class RunObserver:
-    """No-op base class for engine observers; override what you need.
+    """Base class for engine observers; override what you need.
 
-    Every callback has an empty default, so subclasses only pay for the
-    events they use.  One observer instance may watch several runs in
-    sequence (e.g. each phase of a multi-phase driver under
-    :func:`repro.core.observe_runs`); ``on_run_start`` marks each new
-    run's boundary.
+    The engines call only the six run-level and batch methods (see the
+    module docstring).  The per-event callbacks below them are fed by
+    the default :meth:`on_round_batch` and :meth:`on_run_fault`, so a
+    subclass overrides either the batch methods or the per-event ones;
+    every other callback has an empty default.  One observer instance
+    may watch several runs in sequence (e.g. each phase of a
+    multi-phase driver under :func:`repro.core.observe_runs`);
+    ``on_run_start`` marks each new run's boundary.
     """
 
     #: Whether this observer participates in in-run checkpointing (see
@@ -108,6 +99,55 @@ class RunObserver:
         output the killed process left) so the fresh run's stream is
         reproduced from the first byte."""
 
+    # -- what the engines call -----------------------------------------
+    def on_run_start(self, meta: RunMeta) -> None:
+        """A run is starting (its setup pass succeeded); ``meta`` holds
+        its static facts."""
+
+    def on_backend_info(
+        self, backend: str, kernel: Optional[str]
+    ) -> None:
+        """The executing engine identified itself, right after
+        ``on_run_start``: ``"reference"``, ``"fast"`` (also when
+        another backend ran the per-node engine instead),
+        ``"vectorized"`` or ``"sharded"``.  ``kernel`` names the
+        vectorized round kernel, or is ``None``.  Plane-2 information:
+        deterministic output must not record it."""
+
+    def on_round_batch(self, batch: RoundBatch) -> None:
+        """One completed round (or the setup pass) as a batch.
+
+        The default is the per-event adapter: it replays
+        :func:`iter_scalar_events` between :meth:`on_round_start` and
+        :meth:`on_round_end` (setup batches have no round boundaries),
+        passing ``ctx=None`` to :meth:`on_node_step`."""
+        r = batch.round_index
+        if r != SETUP_ROUND:
+            self.on_round_start(r, batch.active)
+        for event in iter_scalar_events(batch):
+            kind, _, vertex = event[:3]
+            if kind == "step":
+                self.on_node_step(r, vertex, None)
+            elif kind == "publish":
+                self.on_publish(r, vertex, event[3])
+            elif kind == "halt":
+                self.on_halt(r, vertex, event[3])
+            elif kind == "failure":
+                self.on_failure(r, vertex, event[3])
+            else:
+                self.on_fault(r, vertex, event[3])
+        if r != SETUP_ROUND:
+            self.on_round_end(r, batch.awake, batch.halted, batch.messages)
+
+    def on_run_fault(self, round_index: int, fault: FaultEvent) -> None:
+        """A run-level fault (round-budget exhaustion) fired; the run
+        raises right after, so it is never part of a batch.  The
+        default forwards it as ``on_fault(round_index, None, fault)``."""
+        self.on_fault(round_index, None, fault)
+
+    def on_run_end(self, result: RunResult) -> None:
+        """The run completed with ``result``."""
+
     def on_run_abort(
         self, round_index: int, error: BaseException
     ) -> None:
@@ -117,17 +157,15 @@ class RunObserver:
         output flush here so partial runs keep their telemetry; the
         exception propagates as soon as every observer returns."""
 
-    def on_run_start(self, meta: RunMeta) -> None:
-        """A run is starting; ``meta`` holds its static facts."""
-
+    # -- per-event callbacks, fed by the default on_round_batch -------
     def on_round_start(self, round_index: int, active: int) -> None:
         """Round ``round_index`` begins with ``active`` live vertices."""
 
     def on_node_step(
-        self, round_index: int, vertex: int, ctx: NodeContext
+        self, round_index: int, vertex: int, ctx: Optional[NodeContext]
     ) -> None:
         """Vertex ``vertex`` executed ``step`` this round.  ``ctx`` is
-        live engine state — read-only (see LM008)."""
+        ``None``: the event is replayed from the round's batch."""
 
     def on_publish(
         self, round_index: int, vertex: int, value: Any
@@ -165,24 +203,27 @@ class RunObserver:
         """Round ended: ``awake`` vertices stepped, ``halted`` of them
         halted, ``messages`` point-to-point messages were delivered."""
 
-    def on_run_end(self, result: RunResult) -> None:
-        """The run completed with ``result``."""
-
 
 class RoundBatch:
     """Columnar snapshot of one round's events (or of the setup pass).
 
-    Vertex columns are ascending index sequences — numpy int64 arrays
-    when emitted by the vectorized backend, plain lists when assembled
-    by the scalar shim; consume them duck-typed (``len``, iteration,
-    and integer indexing work on both).  Payload columns are aligned
-    with their vertex column.  All columns may be backend-owned storage
-    — treat them as read-only (rule LM008).
+    Round facts: ``round_index``, ``active`` (live vertices at the
+    round start, sleepers included), ``awake`` (vertices scheduled this
+    round), ``halted`` (vertices that halted or failed in it) and
+    ``messages``.  Vertex columns, each ascending: ``stepped``,
+    ``published``, ``halted_verts`` and ``failed``, with the payload
+    columns ``halt_values`` and ``fail_reasons`` aligned to their
+    vertex column, the lazy :meth:`publish_values` and
+    :meth:`publish_bytes` aligned to ``published``, and ``faults`` as
+    ``(vertex, fault)`` pairs.  Vertex columns are numpy int64 arrays
+    when the vectorized backend emits them and plain lists otherwise;
+    consume them duck-typed (``len``, iteration, and integer indexing
+    work on both).  All columns may be backend-owned storage — treat
+    them as read-only (rule LM008).
 
     ``round_index`` is :data:`repro.core.SETUP_ROUND` for the setup
-    batch, in which case ``stepped`` is empty and the round bookkeeping
-    fields (``active``/``awake``/``halted``/``messages``) are zero —
-    setup emits no round boundaries on the scalar path either.
+    batch, in which case ``stepped`` is empty and the round facts are
+    zero.
     """
 
     __slots__ = (
@@ -271,186 +312,12 @@ class RoundBatch:
         return self._publish_bytes
 
 
-class _BatchBuilder:
-    """Accumulates one round's scalar events into a RoundBatch."""
-
-    __slots__ = (
-        "round_index",
-        "active",
-        "stepped",
-        "published",
-        "values",
-        "halted_verts",
-        "halt_values",
-        "failed",
-        "fail_reasons",
-        "faults",
-    )
-
-    def __init__(self, round_index: int, active: int = 0) -> None:
-        self.round_index = round_index
-        self.active = active
-        self.stepped: List[int] = []
-        self.published: List[int] = []
-        self.values: List[Any] = []
-        self.halted_verts: List[int] = []
-        self.halt_values: List[Any] = []
-        self.failed: List[int] = []
-        self.fail_reasons: List[str] = []
-        self.faults: List[Tuple[Optional[int], FaultEvent]] = []
-
-    def build(
-        self, awake: int = 0, halted: int = 0, messages: int = 0
-    ) -> RoundBatch:
-        return RoundBatch(
-            self.round_index,
-            active=self.active,
-            awake=awake,
-            halted=halted,
-            messages=messages,
-            stepped=self.stepped,
-            published=self.published,
-            publish_values=self.values,
-            halted_verts=self.halted_verts,
-            halt_values=self.halt_values,
-            failed=self.failed,
-            fail_reasons=self.fail_reasons,
-            faults=self.faults,
-        )
-
-
-class BatchRunObserver(RunObserver):
-    """Observer consuming whole-round :class:`RoundBatch` payloads.
-
-    Subclasses override :meth:`on_round_batch` (and optionally
-    :meth:`on_run_fault` / :meth:`on_backend_info`).  Two delivery
-    paths feed it:
-
-    - the ``"vectorized"`` backend calls ``on_round_batch`` directly,
-      with numpy vertex columns, and never fires the per-vertex scalar
-      callbacks — attaching only batch-capable observers keeps it on
-      its native kernels (no scalar fallback);
-    - on the scalar engines, the base-class scalar callbacks assemble
-      batches from per-event callbacks and emit them at each round
-      boundary — a subclass that overrides ``on_run_start`` /
-      ``on_round_start`` / ``on_run_end`` (or any per-event callback)
-      while relying on this shim must call ``super()``.
-
-    Observers like :class:`~repro.obs.MetricsObserver` instead override
-    *all* scalar callbacks natively and implement ``on_round_batch`` as
-    a second accumulation path; the shim then never engages.
-
-    ``batch_capable`` is the attribute backends test — keep it truthy.
-    """
-
-    #: Backends check this flag: every attached observer must be batch
-    #: capable for the vectorized harness to stay on its kernels.
-    batch_capable = True
-
-    def __init__(self) -> None:
-        self._batch_pending: Optional[_BatchBuilder] = None
-
-    # -- the batch-plane callbacks -------------------------------------
-    def on_round_batch(self, batch: RoundBatch) -> None:
-        """One completed round (or the setup pass) as a batch."""
-
-    def on_run_fault(self, round_index: int, fault: FaultEvent) -> None:
-        """A run-level fault (round-budget exhaustion) fired; the run
-        raises immediately after, so this is never buffered into a
-        batch."""
-
-    def on_backend_info(
-        self, backend: str, kernel: Optional[str]
-    ) -> None:
-        """The executing backend identified itself (called after
-        ``on_run_start`` by backends that know; the scalar engines do
-        not call it).  ``kernel`` names the vectorized round kernel, or
-        is ``None``."""
-
-    # -- scalar shim: assemble batches from per-event callbacks --------
-    def _builder(self, round_index: int) -> _BatchBuilder:
-        pending = self._batch_pending
-        if pending is None:
-            pending = _BatchBuilder(round_index)
-            self._batch_pending = pending
-        return pending
-
-    def _flush_pending(self) -> None:
-        pending = self._batch_pending
-        if pending is not None and pending.round_index == SETUP_ROUND:
-            self._batch_pending = None
-            self.on_round_batch(pending.build())
-
-    def on_run_start(self, meta: RunMeta) -> None:
-        self._batch_pending = None
-
-    def on_round_start(self, round_index: int, active: int) -> None:
-        self._flush_pending()
-        self._batch_pending = _BatchBuilder(round_index, active)
-
-    def on_node_step(
-        self, round_index: int, vertex: int, ctx: NodeContext
-    ) -> None:
-        self._builder(round_index).stepped.append(vertex)
-
-    def on_publish(
-        self, round_index: int, vertex: int, value: Any
-    ) -> None:
-        pending = self._builder(round_index)
-        pending.published.append(vertex)
-        pending.values.append(value)
-
-    def on_halt(self, round_index: int, vertex: int, output: Any) -> None:
-        pending = self._builder(round_index)
-        pending.halted_verts.append(vertex)
-        pending.halt_values.append(output)
-
-    def on_failure(
-        self, round_index: int, vertex: int, reason: str
-    ) -> None:
-        pending = self._builder(round_index)
-        pending.failed.append(vertex)
-        pending.fail_reasons.append(reason)
-
-    def on_fault(
-        self,
-        round_index: int,
-        vertex: Optional[int],
-        fault: FaultEvent,
-    ) -> None:
-        if vertex is None:
-            # Run-level: the run raises right after — deliver now, the
-            # enclosing round (if any) will never reach its boundary.
-            self.on_run_fault(round_index, fault)
-            return
-        self._builder(round_index).faults.append((vertex, fault))
-
-    def on_round_end(
-        self,
-        round_index: int,
-        awake: int,
-        halted: int,
-        messages: int,
-    ) -> None:
-        pending = self._batch_pending
-        self._batch_pending = None
-        if pending is None:
-            pending = _BatchBuilder(round_index)
-        self.on_round_batch(pending.build(awake, halted, messages))
-
-    def on_run_end(self, result: RunResult) -> None:
-        # A run whose vertices all halt in setup executes zero rounds:
-        # the setup batch is flushed here instead of at a round start.
-        self._flush_pending()
-
-
 def iter_scalar_events(
     batch: RoundBatch,
 ) -> Iterator[Tuple[Any, ...]]:
-    """Reconstruct a batch's events in the scalar engines' exact order.
+    """A batch's events in the per-event adapter's order.
 
-    Yields tuples keyed by event name, mirroring the per-vertex
-    ascending order of the ordering contract::
+    Yields tuples keyed by event name, per vertex ascending::
 
         ("fault", round, vertex, fault_event)
         ("step", round, vertex)

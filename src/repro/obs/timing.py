@@ -14,13 +14,9 @@ byte-identity contract by design*:
 - :class:`ProgressReporter` renders live progress (round counter,
   rounds/sec) to a terminal stream; it writes nothing durable.
 
-Both are :class:`~repro.obs.observer.BatchRunObserver` subclasses that
-implement **only** the batch callbacks — the inherited scalar shim
-translates per-event streams from the fast/reference engines into the
-same per-round batches the vectorized backend emits natively, so one
-code path serves every engine.  ``on_backend_info`` (batch plane only)
-attributes each run to the backend/kernel that executed it; scalar
-engines never call it, so the attribution stays ``null`` there.
+Both implement only the batch callbacks, which every engine calls.
+``on_backend_info`` attributes each run to the engine (and vectorized
+kernel) that executed it.
 
 Nothing in this module imports numpy: the sidecar must work in the
 no-numpy environment exactly as in the accelerated one.
@@ -36,7 +32,7 @@ from typing import Any, Dict, Optional, TextIO, Union
 
 from ..core.engine import RunMeta, RunResult, SETUP_ROUND
 from ..core.errors import FaultEvent
-from .observer import BatchRunObserver, RoundBatch
+from .observer import RoundBatch, RunObserver
 
 #: Stamped on every ``timing_run_start`` line.  The sidecar schema is
 #: versioned independently of the deterministic trace schema — readers
@@ -64,7 +60,7 @@ def _gc_collections() -> int:
     return sum(stat.get("collections", 0) for stat in gc.get_stats())
 
 
-class TimingSidecarObserver(BatchRunObserver):
+class TimingSidecarObserver(RunObserver):
     """Wall-clock/resource telemetry as a JSONL sidecar stream.
 
     Parameters
@@ -109,7 +105,6 @@ class TimingSidecarObserver(BatchRunObserver):
         sample_every: int = 64,
         resources: bool = True,
     ) -> None:
-        super().__init__()
         if sample_every < 1:
             raise ValueError(
                 f"sample_every must be >= 1, got {sample_every}"
@@ -163,7 +158,6 @@ class TimingSidecarObserver(BatchRunObserver):
     # -- batch-plane callbacks --------------------------------------
 
     def on_run_start(self, meta: RunMeta) -> None:
-        super().on_run_start(meta)
         self._run += 1
         self._run_t0 = self._now()
         self._last_sample_t = self._run_t0
@@ -182,7 +176,9 @@ class TimingSidecarObserver(BatchRunObserver):
         line.update(self._resource_fields())
         self._emit(line)
 
-    def on_backend_info(self, backend: str, kernel: str) -> None:
+    def on_backend_info(
+        self, backend: str, kernel: Optional[str]
+    ) -> None:
         self._backend = backend
         self._kernel = kernel
 
@@ -220,11 +216,6 @@ class TimingSidecarObserver(BatchRunObserver):
             }
         )
 
-    def restore_checkpoint(self, state: Any) -> None:
-        # Plane-2: nothing to rewind — a resumed (or restarted) run
-        # appends.  Only the scalar-shim batch buffer is reset.
-        self._batch_pending = None
-
     def on_run_abort(
         self, round_index: int, error: BaseException
     ) -> None:
@@ -253,7 +244,6 @@ class TimingSidecarObserver(BatchRunObserver):
         self._stream.flush()
 
     def on_run_end(self, result: RunResult) -> None:
-        super().on_run_end(result)
         now = self._now()
         wall = now - self._run_t0
         line = {
@@ -307,7 +297,7 @@ def read_timing_sidecar(path: str):
             yield line
 
 
-class ProgressReporter(BatchRunObserver):
+class ProgressReporter(RunObserver):
     """Live run progress on a terminal stream (default stderr).
 
     Prints a throttled carriage-return status line per sampled round —
@@ -321,9 +311,6 @@ class ProgressReporter(BatchRunObserver):
     #: progress ticker attached.
     checkpoint_capable = True
 
-    def restore_checkpoint(self, state: Any) -> None:
-        self._batch_pending = None
-
     def __init__(
         self,
         stream: Optional[TextIO] = None,
@@ -331,7 +318,6 @@ class ProgressReporter(BatchRunObserver):
         min_interval: float = 0.2,
         label: str = "",
     ) -> None:
-        super().__init__()
         self._stream = stream if stream is not None else sys.stderr
         self.min_interval = min_interval
         self.label = label
@@ -349,7 +335,6 @@ class ProgressReporter(BatchRunObserver):
             pass
 
     def on_run_start(self, meta: RunMeta) -> None:
-        super().on_run_start(meta)
         self._run += 1
         self._algorithm = meta.algorithm
         self._run_t0 = time.perf_counter()
@@ -373,7 +358,6 @@ class ProgressReporter(BatchRunObserver):
         self._dirty = True
 
     def on_run_end(self, result: RunResult) -> None:
-        super().on_run_end(result)
         elapsed = time.perf_counter() - self._run_t0
         prefix = f"{self.label}: " if self.label else ""
         lead = "\r" if self._dirty else ""

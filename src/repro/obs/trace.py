@@ -3,7 +3,7 @@
 :class:`JsonlTraceObserver` writes one JSON object per engine event,
 one per line.  Determinism is a hard contract (an acceptance criterion
 of the telemetry layer): the bytes are identical across repeated runs
-of the same seed and across the fast/reference engines, because
+of the same seed and across every engine and backend, because
 
 - keys are sorted and separators are fixed (no whitespace variance);
 - no wall-clock timestamps and no engine-identifying fields appear;
@@ -35,10 +35,10 @@ Version history: v1 had no ``fault`` events; v2 added them (and
 nothing else), so every v1 trace is also a valid v2 trace.  v3 added
 the constant ``emission_modes`` header field on ``run_start``,
 declaring that the trace may have been produced by per-event *or*
-batched (columnar) emission — deliberately **not** recording which:
-event bodies are byte-identical across both, so the bytes must not
-betray the backend.  The reader accepts v1–v3 and rejects versions
-newer than it understands.
+batched (columnar) emission — deliberately **not** recording which,
+so the bytes cannot betray the backend; event bodies are unchanged.
+The reader accepts v1–v3 and rejects versions newer than it
+understands.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ from typing import Any, Dict, Iterator, List, Optional, TextIO, Union
 
 from ..core.engine import RunMeta, RunResult, SETUP_ROUND
 from ..core.errors import FaultEvent
-from .metrics import estimate_payload_bytes
-from .observer import BatchRunObserver, RoundBatch, iter_scalar_events
+from .observer import RoundBatch, RunObserver, iter_scalar_events
 
 TRACE_SCHEMA = "repro.obs.trace"
 TRACE_VERSION = 3
@@ -59,10 +58,9 @@ TRACE_VERSION = 3
 SUPPORTED_TRACE_VERSIONS = (1, 2, 3)
 
 #: v3 header metadata: the emission strategies a writer of this version
-#: may use.  A constant — the same trace bytes must come out of the
-#: per-event scalar engines and the batched vectorized backend, so the
-#: header cannot depend on which one actually ran (design invariant;
-#: timing and backend attribution live in the nondeterministic sidecar,
+#: may use.  A constant kept for format stability — the header cannot
+#: depend on which engine actually ran (design invariant; timing and
+#: backend attribution live in the nondeterministic sidecar,
 #: :mod:`repro.obs.timing`).
 EMISSION_MODES = ("per-event", "batched")
 
@@ -112,15 +110,14 @@ def _value_json(value: Any) -> str:
     )
 
 
-class JsonlTraceObserver(BatchRunObserver):
+class JsonlTraceObserver(RunObserver):
     """Stream engine events to a JSONL file (or open text stream).
 
-    Batch-capable: on the scalar engines every event arrives through a
-    per-event callback; on the vectorized backend whole rounds arrive
-    through :meth:`on_round_batch` and are serialized with the exact
-    same bytes (pinned by the observer-neutrality relation).  The
-    backend identity announced via ``on_backend_info`` is deliberately
-    *not* written — trace bytes must not betray the backend.
+    Every engine delivers whole rounds through :meth:`on_round_batch`,
+    and every backend's batches serialize to the same bytes (pinned by
+    the observer-neutrality relation).  The backend identity announced
+    via ``on_backend_info`` is deliberately *not* written — trace bytes
+    must not betray the backend.
 
     Parameters
     ----------
@@ -161,7 +158,6 @@ class JsonlTraceObserver(BatchRunObserver):
         node_steps: bool = False,
         resume: bool = False,
     ) -> None:
-        super().__init__()
         if isinstance(target, str):
             mode = "r+" if resume and os.path.exists(target) else "w"
             self._stream: TextIO = open(target, mode, encoding="utf-8")
@@ -209,7 +205,6 @@ class JsonlTraceObserver(BatchRunObserver):
         (done slot after done slot, then the in-flight snapshot), so
         truncating here would chop positions a later slot still needs.
         Only the fresh-start reset truncates."""
-        self._batch_pending = None
         self._stream.flush()
         if state is None:
             self._run = -1
@@ -248,99 +243,8 @@ class JsonlTraceObserver(BatchRunObserver):
             line["edges"] = [[u, v] for u, v in meta.graph.edges()]
         self._emit(line)
 
-    def on_round_start(self, round_index: int, active: int) -> None:
-        self._emit(
-            {
-                "event": "round_start",
-                "run": self._run,
-                "round": round_index,
-                "active": active,
-            }
-        )
-
-    def on_node_step(
-        self, round_index: int, vertex: int, ctx: Any
-    ) -> None:
-        if self.node_steps:
-            self._emit(
-                {
-                    "event": "step",
-                    "run": self._run,
-                    "round": round_index,
-                    "v": vertex,
-                }
-            )
-
-    def on_publish(
-        self, round_index: int, vertex: int, value: Any
-    ) -> None:
-        line: Dict[str, Any] = {
-            "event": "publish",
-            "run": self._run,
-            "round": round_index,
-            "v": vertex,
-            "bytes": estimate_payload_bytes(value),
-        }
-        if self.payload_values:
-            line["value"] = _json_safe(value)
-        self._emit(line)
-
-    def on_halt(self, round_index: int, vertex: int, output: Any) -> None:
-        self._emit(
-            {
-                "event": "halt",
-                "run": self._run,
-                "round": round_index,
-                "v": vertex,
-                "value": _json_safe(output),
-            }
-        )
-
-    def on_failure(
-        self, round_index: int, vertex: int, reason: str
-    ) -> None:
-        self._emit(
-            {
-                "event": "failure",
-                "run": self._run,
-                "round": round_index,
-                "v": vertex,
-                "reason": reason,
-            }
-        )
-
-    def on_fault(
-        self,
-        round_index: int,
-        vertex: Optional[int],
-        fault: FaultEvent,
-    ) -> None:
-        line: Dict[str, Any] = {
-            "event": "fault",
-            "run": self._run,
-            "round": round_index,
-            "v": vertex,
-        }
-        line.update(fault.as_record())
-        self._emit(line)
-
-    def on_round_end(
-        self,
-        round_index: int,
-        awake: int,
-        halted: int,
-        messages: int,
-    ) -> None:
-        self._emit(
-            {
-                "event": "round_end",
-                "run": self._run,
-                "round": round_index,
-                "awake": awake,
-                "halted": halted,
-                "messages": messages,
-            }
-        )
+    def on_run_fault(self, round_index: int, fault: FaultEvent) -> None:
+        self._emit(self._fault_line(round_index, None, fault))
 
     def on_run_end(self, result: RunResult) -> None:
         self._emit(
@@ -354,24 +258,16 @@ class JsonlTraceObserver(BatchRunObserver):
         )
         self._stream.flush()
 
-    # -- the columnar emission path ------------------------------------
-    def on_run_fault(self, round_index: int, fault: FaultEvent) -> None:
-        # Vectorized delivery of the scalar engines' vertex-``None``
-        # ``on_fault`` (round-budget exhaustion) — same line.
-        self.on_fault(round_index, None, fault)
-
     def on_round_batch(self, batch: RoundBatch) -> None:
-        """Serialize one round batch — byte-identical to the per-event
-        path.
+        """Serialize one round batch.
 
-        Publish/halt-heavy rounds (the n = 10^6 regime) take a direct
-        string-building path: every hot line has only integer fields in
-        a fixed sorted-key order, so the JSON is assembled with
+        Publish/halt-only rounds (the n = 10^6 regime) take a direct
+        string-building path: every such line has only integer fields
+        in a fixed sorted-key order, so the JSON is assembled with
         f-strings and written in one call instead of one
         ``json.dumps`` per event.  Rounds with faults, failures, or
-        step lines replay :func:`iter_scalar_events` through the
-        per-event callbacks — the exact same code that serves the
-        scalar engines.
+        step lines are written line by line in
+        :func:`iter_scalar_events` order.
         """
         r = batch.round_index
         run = self._run
@@ -386,18 +282,7 @@ class JsonlTraceObserver(BatchRunObserver):
             or len(batch.failed)
             or (self.node_steps and len(batch.stepped))
         ):
-            for event in iter_scalar_events(batch):
-                kind = event[0]
-                if kind == "publish":
-                    self.on_publish(event[1], event[2], event[3])
-                elif kind == "halt":
-                    self.on_halt(event[1], event[2], event[3])
-                elif kind == "step":
-                    self.on_node_step(event[1], event[2], None)
-                elif kind == "failure":
-                    self.on_failure(event[1], event[2], event[3])
-                else:
-                    self.on_fault(event[1], event[2], event[3])
+            self._write_event_order(batch)
         else:
             self._write_publish_halt(batch, r, run)
         if r != SETUP_ROUND:
@@ -408,20 +293,75 @@ class JsonlTraceObserver(BatchRunObserver):
             )
             self.events_written += 1
 
+    # -- line writers ---------------------------------------------------
+    def _fault_line(
+        self, r: int, vertex: Optional[int], fault: FaultEvent
+    ) -> Dict[str, Any]:
+        line: Dict[str, Any] = {
+            "event": "fault",
+            "run": self._run,
+            "round": r,
+            "v": vertex,
+        }
+        line.update(fault.as_record())
+        return line
+
+    def _write_event_order(self, batch: RoundBatch) -> None:
+        """One ``json.dumps`` line per event, in the order of
+        :func:`iter_scalar_events`."""
+        run = self._run
+        sizes = dict(
+            zip(_plain(batch.published), _plain(batch.publish_bytes()))
+        )
+        for event in iter_scalar_events(batch):
+            kind, r, vertex = event[:3]
+            line: Dict[str, Any]
+            if kind == "step":
+                if not self.node_steps:
+                    continue
+                line = {
+                    "event": "step",
+                    "run": run,
+                    "round": r,
+                    "v": vertex,
+                }
+            elif kind == "publish":
+                line = {
+                    "event": "publish",
+                    "run": run,
+                    "round": r,
+                    "v": vertex,
+                    "bytes": sizes[vertex],
+                }
+                if self.payload_values:
+                    line["value"] = _json_safe(event[3])
+            elif kind == "halt":
+                line = {
+                    "event": "halt",
+                    "run": run,
+                    "round": r,
+                    "v": vertex,
+                    "value": _json_safe(event[3]),
+                }
+            elif kind == "failure":
+                line = {
+                    "event": "failure",
+                    "run": run,
+                    "round": r,
+                    "v": vertex,
+                    "reason": event[3],
+                }
+            else:
+                line = self._fault_line(r, vertex, event[3])
+            self._emit(line)
+
     def _write_publish_halt(
         self, batch: RoundBatch, r: int, run: int
     ) -> None:
-        published = batch.published
-        pverts = (
-            published.tolist()
-            if hasattr(published, "tolist")
-            else list(published)
-        )
+        pverts = _plain(batch.published)
         lines: List[str] = []
         if pverts:
-            pbytes = batch.publish_bytes()
-            if hasattr(pbytes, "tolist"):
-                pbytes = pbytes.tolist()
+            pbytes = _plain(batch.publish_bytes())
             values = (
                 batch.publish_values() if self.payload_values else None
             )
@@ -439,13 +379,8 @@ class JsonlTraceObserver(BatchRunObserver):
                 ]
         else:
             pub_lines = []
-        halted = batch.halted_verts
-        if len(halted):
-            hverts = (
-                halted.tolist()
-                if hasattr(halted, "tolist")
-                else list(halted)
-            )
+        if len(batch.halted_verts):
+            hverts = _plain(batch.halted_verts)
             hvals = batch.halt_values
             halt_lines = [
                 f'{{"event":"halt","round":{r},"run":{run},"v":{v},'
@@ -453,7 +388,7 @@ class JsonlTraceObserver(BatchRunObserver):
                 for v, out in zip(hverts, hvals)
             ]
             # Interleave in per-vertex ascending order, a vertex's
-            # publish before its halt — the scalar event order.
+            # publish before its halt — the iter_scalar_events order.
             i = j = 0
             np_, nh = len(pub_lines), len(halt_lines)
             while i < np_ or j < nh:
@@ -469,6 +404,11 @@ class JsonlTraceObserver(BatchRunObserver):
             self._stream.write("\n".join(lines))
             self._stream.write("\n")
             self.events_written += len(lines)
+
+
+def _plain(column: Any) -> List[Any]:
+    """A batch column as a list of plain Python values."""
+    return column.tolist() if hasattr(column, "tolist") else list(column)
 
 
 def read_trace(

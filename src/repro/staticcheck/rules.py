@@ -176,10 +176,17 @@ RULES: Dict[str, RuleSpec] = {
     )
 }
 
-#: The RunObserver callback protocol (see repro/obs/observer.py); a
-#: class defining any of these is treated as an observer by LM008.
+#: The RunObserver callbacks (see repro/obs/observer.py); a class
+#: defining any of these is treated as an observer by LM008.  The
+#: RoundBatch columns handed to ``on_round_batch`` are engine-owned
+#: views, as read-only as ctx and the graph.
 _OBSERVER_CALLBACKS = {
     "on_run_start",
+    "on_backend_info",
+    "on_round_batch",
+    "on_run_fault",
+    "on_run_end",
+    # Per-event callbacks, fed by RunObserver's default on_round_batch.
     "on_round_start",
     "on_node_step",
     "on_publish",
@@ -187,12 +194,6 @@ _OBSERVER_CALLBACKS = {
     "on_failure",
     "on_fault",
     "on_round_end",
-    "on_run_end",
-    # Batch-plane callbacks (BatchRunObserver): the RoundBatch payload
-    # arrays are engine-owned views, as read-only as ctx and the graph.
-    "on_round_batch",
-    "on_run_fault",
-    "on_backend_info",
 }
 
 #: Exception names whose handlers (in node code) also catch the

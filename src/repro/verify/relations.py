@@ -66,7 +66,7 @@ from ..faults.runtime import mix64
 from ..graphs.graph import Graph
 from ..lcl.problem import LCLProblem
 from ..obs import JsonlTraceObserver, MetricsObserver
-from ..obs.observer import BatchRunObserver
+from ..obs.observer import RunObserver
 from ..transforms.order_invariance import order_preserving_remap
 from .gen import (
     Instance,
@@ -525,12 +525,9 @@ class ObserverNeutrality(Relation):
     Checked on every available backend: (1) bare vs observed (a
     ``MetricsObserver`` plus a ``JsonlTraceObserver`` with per-vertex
     step events, the heaviest deterministic-plane configuration)
-    outcome equality; (2) for runs that complete, the metrics summary
-    and the full trace bytes must be identical across all backends —
-    the byte-identity half of the two-plane telemetry contract.
-    Raising runs are held to outcome equality only: the batched stream
-    legally ends at the last completed round boundary while a scalar
-    engine may emit a partial-round prefix.
+    outcome equality; (2) the metrics summary and the full trace bytes
+    must be identical across all backends, for raising runs too — the
+    byte-identity half of the two-plane telemetry contract.
     """
 
     name = "observer-neutrality"
@@ -566,8 +563,6 @@ class ObserverNeutrality(Relation):
                     f"backend {name!r}: bare={_summarize(bare)}, "
                     f"observed={_summarize(observed)}",
                 )
-            if bare[0] != "ok":
-                continue
             summary = metrics.summary()
             trace_bytes = sink.getvalue()
             if first_backend is None:
@@ -684,9 +679,9 @@ class _CheckpointKill(Exception):
     """Deterministic mid-run death injected by :class:`CheckpointResume`."""
 
 
-class _KillSwitch(BatchRunObserver):
-    """Batch-capable observer that raises after N delivered round
-    batches (setup excluded).  With ``kill_after=None`` it only counts
+class _KillSwitch(RunObserver):
+    """Observer that raises after N delivered round batches (setup
+    excluded).  With ``kill_after=None`` it only counts
     — the baseline leg uses that to learn the run's total length, and
     the resume leg to keep the observer arity identical to the kill
     leg's snapshot."""
@@ -694,7 +689,6 @@ class _KillSwitch(BatchRunObserver):
     checkpoint_capable = True
 
     def __init__(self, kill_after: Optional[int] = None) -> None:
-        super().__init__()
         self.kill_after = kill_after
         self.seen = 0
 
@@ -892,12 +886,9 @@ class PartitionInvariance(Relation):
     runs once under the heaviest deterministic-plane observers (a
     ``MetricsObserver`` plus a per-vertex ``JsonlTraceObserver``), then
     the sharded backend runs at each count in :attr:`shard_counts`
-    plus one 2-shard leg under ``mode="random"``.  Outcomes must match
-    always; for runs that complete, the metrics summary and the full
-    trace bytes must match too.  Raising runs are held to outcome
-    equality only — the batch plane legally ends at the last completed
-    round boundary while the scalar fast engine may emit a
-    partial-round prefix (the same carve-out ObserverNeutrality makes).
+    plus one 2-shard leg under ``mode="random"``.  Outcomes, metrics
+    summaries and the full trace bytes must all match, for raising
+    runs too.
 
     On hosts without the ``fork`` start method the sharded backend
     falls back to the fast engine, so the relation degenerates to a
@@ -1006,8 +997,6 @@ class PartitionInvariance(Relation):
                         f"fast={_summarize(base)}, "
                         f"sharded={_summarize(got)}",
                     )
-                if base[0] != "ok":
-                    continue
                 if got_trace != base_trace:
                     return self._violation(
                         subject,

@@ -35,7 +35,7 @@ from repro.core.checkpoint import (
 from repro.faults import FaultPlan, inject_faults
 from repro.graphs.generators import random_tree_bounded_degree
 from repro.obs import JsonlTraceObserver, MetricsObserver
-from repro.obs.observer import BatchRunObserver
+from repro.obs.observer import RunObserver
 
 BACKENDS = sorted(available_backend_names())
 
@@ -44,13 +44,12 @@ class _Kill(Exception):
     """Injected mid-run death (stands in for SIGKILL in-process)."""
 
 
-class KillSwitch(BatchRunObserver):
+class KillSwitch(RunObserver):
     """Counts delivered round batches; raises after ``kill_after``."""
 
     checkpoint_capable = True
 
     def __init__(self, kill_after=None):
-        super().__init__()
         self.kill_after = kill_after
         self.seen = 0
 
@@ -422,11 +421,8 @@ def test_run_local_checkpoint_kwarg_resumes(tmp_path):
 # ----------------------------------------------------------------------
 # Capability gating and diagnostics
 # ----------------------------------------------------------------------
-class NotCapable:
+class NotCapable(RunObserver):
     """An observer with no checkpoint contract."""
-
-    def on_run_start(self, info):
-        pass
 
 
 def test_non_capable_observer_fails_fast(tmp_path):

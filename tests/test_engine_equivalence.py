@@ -62,6 +62,7 @@ from repro.graphs.generators import (
     random_tree_prufer,
     ring_of_cycles,
 )
+from repro.obs import RunObserver
 
 
 def backend_params():
@@ -96,9 +97,10 @@ def assert_results_identical(fast, reference):
     assert fast.trace == reference.trace
 
 
-class _EventRecorder:
-    """Minimal observer capturing every event as a comparable tuple —
-    extends the equivalence contract to the telemetry stream."""
+class _EventRecorder(RunObserver):
+    """Minimal per-event observer capturing every event as a comparable
+    tuple — extends the equivalence contract to the telemetry stream.
+    A real ``RunObserver``, so it rides every backend natively."""
 
     def __init__(self):
         self.events = []

@@ -473,6 +473,25 @@ class TestSweepTelemetry:
                 observer_factory=NoSummary,
             )
 
+    def test_duck_typed_observer_raises(self):
+        class DuckTyped:
+            def summary(self):
+                return {}
+
+            def on_run_start(self, meta):
+                pass
+
+        with pytest.raises(
+            TelemetryError, match="subclass repro.obs.RunObserver"
+        ):
+            run_sweep(
+                "bad",
+                [16],
+                _sweep_measure,
+                seeds=(0,),
+                observer_factory=DuckTyped,
+            )
+
     def test_experiment_record_renders_telemetry(self):
         series = run_sweep(
             "obs-sweep",

@@ -1,12 +1,12 @@
 """Two-plane telemetry: batched observers, trace analytics, sidecars.
 
-Plane 1 (deterministic): the vectorized backend must feed attached
-``BatchRunObserver`` instances natively — no fallback — and the
-summaries/trace bytes it produces must be byte-identical to the scalar
-engines'.  Covers the scalar shim (per-event streams re-batched), the
-crash/budget fault paths, zero-round runs, summary v2 merge
-fail-loudness, trace schema v1–v3 fixtures, and the streaming query
-layer.
+Plane 1 (deterministic): every engine delivers round batches, the
+vectorized backend feeds attached observers natively — no fallback,
+per-event observers included — and the summaries/trace bytes it
+produces must be byte-identical to the per-node engines'.  Covers the
+per-event adapter, the crash/budget fault paths, raising runs,
+zero-round runs, summary v2 merge fail-loudness, trace schema v1–v3
+fixtures, and the streaming query layer.
 
 Plane 2 (nondeterministic): the timing sidecar and progress reporters
 must attach without perturbing plane 1, attribute backends/kernels,
@@ -42,10 +42,10 @@ from repro.obs import (
     SUMMARY_VERSION,
     SUPPORTED_TRACE_VERSIONS,
     TRACE_VERSION,
-    BatchRunObserver,
     JsonlTraceObserver,
     MetricsObserver,
     RoundBatch,
+    RunObserver,
     iter_scalar_events,
     iter_trace,
     merge_summaries,
@@ -127,6 +127,37 @@ class Sleeper(SyncAlgorithm):
         raise AssertionError("stepped a halted vertex")
 
 
+class _EventRecorder(RunObserver):
+    """A per-event observer: records what the adapter replays, the
+    ``ctx`` it passes included."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_round_start(self, round_index, active):
+        self.events.append(("round_start", round_index, active))
+
+    def on_node_step(self, round_index, vertex, ctx):
+        self.events.append(("step", round_index, vertex, ctx))
+
+    def on_publish(self, round_index, vertex, value):
+        self.events.append(("publish", round_index, vertex, value))
+
+    def on_halt(self, round_index, vertex, output):
+        self.events.append(("halt", round_index, vertex, output))
+
+    def on_failure(self, round_index, vertex, reason):
+        self.events.append(("failure", round_index, vertex, reason))
+
+    def on_fault(self, round_index, vertex, fault):
+        self.events.append(("fault", round_index, vertex, fault.kind))
+
+    def on_round_end(self, round_index, awake, halted, messages):
+        self.events.append(
+            ("round_end", round_index, awake, halted, messages)
+        )
+
+
 # ----------------------------------------------------------------------
 # Plane 1: native batched emission on the vectorized backend
 # ----------------------------------------------------------------------
@@ -153,9 +184,8 @@ class TestVectorizedBatchedObservers:
         assert fast[2].failures  # the crashes actually landed
 
     def test_budget_exhaustion_reaches_on_run_fault(self, no_fallback):
-        class FaultLog(BatchRunObserver):
+        class FaultLog(RunObserver):
             def __init__(self):
-                super().__init__()
                 self.run_faults = []
 
             def on_run_fault(self, round_index, fault):
@@ -178,9 +208,8 @@ class TestVectorizedBatchedObservers:
         assert log.run_faults == [(2, "budget")]
 
     def test_backend_info_reported(self, no_fallback):
-        class Attribution(BatchRunObserver):
+        class Attribution(RunObserver):
             def __init__(self):
-                super().__init__()
                 self.seen = []
 
             def on_backend_info(self, backend, kernel):
@@ -199,30 +228,35 @@ class TestVectorizedBatchedObservers:
         )
         assert obs.seen == [("vectorized", "ColorBiddingKernel")]
 
-    def test_non_batch_observer_still_falls_back(self):
-        class Scalar(MetricsObserver):
-            batch_capable = False
-
+    def test_per_event_observer_stays_vectorized(self, no_fallback):
+        # The fast legs run the registry's own "fast" runner, which
+        # no_fallback leaves alone.
         fast = _capture("fast")
         graph, params = _color_bidding_tree()
-        metrics = Scalar()
-        run_local(
-            graph,
-            ColorBiddingAlgorithm(),
-            Model.RAND,
-            seed=7,
-            global_params=params,
-            observers=[metrics],
-            backend="vectorized",
-        )
-        assert metrics.summary() == fast[0]
+        streams = []
+        for backend in ("fast", "vectorized"):
+            metrics = MetricsObserver()
+            recorder = _EventRecorder()
+            run_local(
+                graph,
+                ColorBiddingAlgorithm(),
+                Model.RAND,
+                seed=7,
+                global_params=params,
+                observers=[metrics, recorder],
+                backend=backend,
+            )
+            assert metrics.summary() == fast[0]
+            streams.append(recorder.events)
+        assert streams[0] == streams[1]
+        assert ("step", 0, 0, None) in streams[1]
 
     def test_zero_round_run_emits_setup_batch(self):
         # Sleeper has no vectorized kernel, so the backend legitimately
-        # falls back — the scalar shim must still batch the setup round.
+        # falls back — the per-node engine still batches the setup pass.
         rounds_seen = []
 
-        class SetupWatcher(BatchRunObserver):
+        class SetupWatcher(RunObserver):
             def on_round_batch(self, batch):
                 rounds_seen.append(
                     (batch.round_index, list(batch.published))
@@ -250,13 +284,13 @@ class TestVectorizedBatchedObservers:
 
 
 # ----------------------------------------------------------------------
-# Plane 1: the scalar shim re-batches per-event streams
+# Plane 1: the per-node engines' batches and the per-event adapter
 # ----------------------------------------------------------------------
 class TestScalarShim:
     def test_shim_batches_match_scalar_events(self):
         batches = []
 
-        class Collect(BatchRunObserver):
+        class Collect(RunObserver):
             def on_round_batch(self, batch):
                 batches.append(batch)
 
@@ -297,6 +331,24 @@ class TestScalarShim:
             ("halt", 2),
         ]
 
+    def test_adapter_passes_no_ctx_and_forwards_run_faults(self):
+        graph, params = _color_bidding_tree(n=60)
+        recorder = _EventRecorder()
+        with pytest.raises(BudgetExceededError):
+            run_local(
+                graph,
+                ColorBiddingAlgorithm(),
+                Model.RAND,
+                seed=7,
+                global_params=params,
+                fault_plan=FaultPlan(seed=5, round_budget=2),
+                observers=[recorder],
+            )
+        steps = [e for e in recorder.events if e[0] == "step"]
+        assert steps and all(e[3] is None for e in steps)
+        assert recorder.events[-2][:2] == ("round_end", 1)
+        assert recorder.events[-1] == ("fault", 2, None, "budget")
+
     def test_shim_and_metrics_agree_across_engines(self):
         graph, params = _color_bidding_tree(n=60)
 
@@ -313,6 +365,94 @@ class TestScalarShim:
             return metrics.summary()
 
         assert run(run_local) == run(run_local_reference)
+
+
+# ----------------------------------------------------------------------
+# Plane 1: one protocol on every engine
+# ----------------------------------------------------------------------
+class RaiseMidRound(SyncAlgorithm):
+    """Vertex 5 raises in round 1, after vertices 0-4 stepped."""
+
+    name = "raise-mid-round"
+
+    def setup(self, ctx):
+        ctx.publish(ctx.id)
+
+    def step(self, ctx, inbox):
+        if ctx.now == 1 and ctx.id == 5:
+            raise ValueError("vertex 5 gives up in round 1")
+        ctx.publish(sum(inbox))
+
+
+class RaiseInSetup(SyncAlgorithm):
+    """Vertex 3 raises in setup, after vertices 0-3 published."""
+
+    name = "raise-in-setup"
+
+    def setup(self, ctx):
+        ctx.publish(ctx.id)
+        if ctx.id == 3:
+            raise ValueError("vertex 3 gives up in setup")
+
+    def step(self, ctx, inbox):  # pragma: no cover - never runs
+        ctx.halt(0)
+
+
+@pytest.mark.parametrize("algorithm", [RaiseMidRound, RaiseInSetup])
+def test_raising_runs_are_byte_identical_on_every_engine(algorithm):
+    """A raising run delivers complete rounds only, so its summary and
+    trace bytes are the same on every backend and on the reference
+    engine: no partial round after a mid-round raise, and nothing at
+    all (not even ``run_start``) after a raise in setup."""
+    captured = {}
+    for backend in available_backend_names():
+        metrics = MetricsObserver()
+        sink = io.StringIO()
+        trace = JsonlTraceObserver(sink, node_steps=True)
+        with pytest.raises(ValueError) as raised:
+            run_local(
+                cycle_graph(8),
+                algorithm(),
+                Model.DET,
+                observers=[metrics, trace],
+                backend=backend,
+            )
+        captured[backend] = (
+            str(raised.value),
+            metrics.summary(),
+            sink.getvalue(),
+        )
+    reference = captured.pop("reference")
+    for backend, got in captured.items():
+        assert got == reference, backend
+    lines = [json.loads(line) for line in reference[2].splitlines()]
+    if algorithm is RaiseInSetup:
+        assert lines == []
+    else:
+        assert [e["round"] for e in lines if e["event"] == "round_end"] == [
+            0
+        ]
+        assert lines[-1]["event"] == "round_end"
+
+
+@pytest.mark.parametrize("backend", available_backend_names())
+def test_observer_without_round_batch_is_refused(backend):
+    class StepsOnly:
+        def on_node_step(self, round_index, vertex, ctx):
+            pass
+
+    with pytest.raises(TypeError, match="StepsOnly"):
+        run_local(
+            cycle_graph(6),
+            Sleeper(),
+            Model.DET,
+            observers=[StepsOnly()],
+            backend=backend,
+        )
+    with observe_runs(StepsOnly()), pytest.raises(
+        TypeError, match="StepsOnly"
+    ):
+        run_local(cycle_graph(6), Sleeper(), Model.DET, backend=backend)
 
 
 # ----------------------------------------------------------------------
@@ -550,6 +690,28 @@ class TestTimingSidecar:
         ][-1]
         assert end["backend"] == "vectorized"
         assert end["kernel"] == "ColorBiddingKernel"
+
+    @pytest.mark.parametrize(
+        "backend, engine",
+        [
+            ("fast", "fast"),
+            ("reference", "reference"),
+            # Sleeper has no kernel: the per-node engine runs instead.
+            pytest.param("vectorized", "fast", marks=needs_vectorized),
+        ],
+    )
+    def test_sidecar_names_the_engine_that_ran(self, backend, engine):
+        side = io.StringIO()
+        run_local(
+            cycle_graph(8),
+            Sleeper(),
+            Model.DET,
+            observers=[TimingSidecarObserver(side)],
+            backend=backend,
+        )
+        end = json.loads(side.getvalue().splitlines()[-1])
+        assert end["event"] == "timing_run_end"
+        assert (end["backend"], end["kernel"]) == (engine, None)
 
     def test_reader_roundtrip_and_schema_guard(self, tmp_path):
         path = tmp_path / "timing.jsonl"
