@@ -17,6 +17,7 @@ upload instead of a tempdir.
 """
 
 import json
+import multiprocessing
 import os
 import shutil
 import signal
@@ -27,10 +28,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
 from repro.algorithms.drivers import driver_registry  # noqa: E402
-from repro.backends.sharded import (  # noqa: E402
-    active_worker_pids,
-    use_shards,
-)
+from repro.backends.sharded import use_shards  # noqa: E402
 from repro.core import use_backend  # noqa: E402
 from repro.core.checkpoint import checkpointing  # noqa: E402
 from repro.core.engine import observe_runs  # noqa: E402
@@ -70,9 +68,13 @@ class KillOneWorker(RunObserver):
             return
         self.seen += 1
         if self.kill_after is not None and self.seen == self.kill_after:
-            pids = active_worker_pids()
-            assert pids, "no live shard workers to kill"
-            self.killed = pids[-1]
+            workers = [
+                proc
+                for proc in multiprocessing.active_children()
+                if proc.name.startswith("repro-shard-")
+            ]
+            assert workers, "no live shard workers to kill"
+            self.killed = max(workers, key=lambda proc: proc.name).pid
             os.kill(self.killed, signal.SIGKILL)
 
 

@@ -21,7 +21,6 @@ from .coordinator import (
     SHARDS_ENV_VAR,
     ShardConfig,
     WorkerCrashError,
-    active_worker_pids,
     current_shard_config,
     run_local_sharded,
     use_shards,
@@ -44,7 +43,6 @@ __all__ = [
     "SHARDS_ENV_VAR",
     "ShardConfig",
     "WorkerCrashError",
-    "active_worker_pids",
     "boundary_edges",
     "current_shard_config",
     "partition_graph",

@@ -4,8 +4,8 @@
 ``"sharded"`` backend (same signature and same :class:`RunResult` as
 every other backend).  It runs the shared round loop,
 :func:`repro.core.engine.run_rounds` — which owns the checkpoint,
-budget and max-rounds guards, bulk skips, trace rows and observer
-lifecycle for every backend — with a shard-exchange stepper that adds
+budget and max-rounds guards, bulk skips and observer lifecycle for
+every backend — with a shard-exchange stepper that adds
 only what a round barrier needs:
 
 1. the parent builds contexts and runs setup (or restores a
@@ -58,7 +58,6 @@ from typing import (
 from ...core.engine import (
     DEFAULT_MAX_ROUNDS,
     NodeStepper,
-    RoundTrace,
     RunResult,
     Stepper,
     _attached_observers,
@@ -155,17 +154,6 @@ def current_shard_config() -> ShardConfig:
     return ShardConfig(n_shards=n_shards, mode=CONTIGUOUS, seed=0)
 
 
-#: Live worker pids of the most recently started coordinator — the
-#: hook the worker-death tests use to SIGKILL a real worker mid-run.
-_ACTIVE_PIDS: Tuple[int, ...] = ()
-
-
-def active_worker_pids() -> Tuple[int, ...]:
-    """Pids of the shard workers of the currently running sharded
-    execution (empty outside one)."""
-    return _ACTIVE_PIDS
-
-
 class _ShardStepper(Stepper):
     """The shard-exchange stepper: one round is one barrier (steps 1-4
     of the module docstring).  ``node`` is the parent's per-node
@@ -223,10 +211,6 @@ class _ShardStepper(Stepper):
             self.procs.append(proc)
         for child_end in child_ends:
             child_end.close()
-        global _ACTIVE_PIDS
-        _ACTIVE_PIDS = tuple(
-            proc.pid for proc in self.procs if proc.pid is not None
-        )
 
     def _exchange(self, rounds: int, requests: Sequence[Any]) -> List[Any]:
         """Send each shard its request, then read every reply.
@@ -298,8 +282,6 @@ class _ShardStepper(Stepper):
                 pass
         self.conns = []
         self.procs = []
-        global _ACTIVE_PIDS
-        _ACTIVE_PIDS = ()
 
     # -- the stepper -----------------------------------------------------
     def setup(self) -> bool:
@@ -312,9 +294,7 @@ class _ShardStepper(Stepper):
     def restore(self, payload: Dict[str, Any]) -> None:
         self.node.restore(payload)
 
-    def capture(
-        self, rounds: int, messages: int, traces: List[RoundTrace]
-    ) -> Dict[str, Any]:
+    def capture(self, rounds: int, messages: int) -> Dict[str, Any]:
         """A ``"scalar"``-format snapshot gathered from the workers.
 
         Each worker owns its vertices' authoritative contexts (and the
@@ -339,7 +319,6 @@ class _ShardStepper(Stepper):
             "format": "scalar",
             "rounds": rounds,
             "messages": messages,
-            "traces": list(traces),
             "nodes": nodes,
             "fault_last": merged_last,
         }
@@ -455,7 +434,6 @@ def run_local_sharded(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     rng_factory: Optional[Any] = None,
     allow_duplicate_ids: bool = False,
-    trace: bool = False,
     observers: Optional[Sequence[Any]] = None,
     fault_plan: Optional[Any] = None,
     checkpoint: Optional[Any] = None,
@@ -497,7 +475,6 @@ def run_local_sharded(
             meta,
             faults,
             attached,
-            trace=trace,
             checkpoint=checkpoint,
         )
         assert result is not None  # the shard stepper never declines
@@ -517,7 +494,6 @@ def run_local_sharded(
         max_rounds=max_rounds,
         rng_factory=rng_factory,
         allow_duplicate_ids=allow_duplicate_ids,
-        trace=trace,
         observers=observers,
         fault_plan=fault_plan,
         checkpoint=checkpoint,

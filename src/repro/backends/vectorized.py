@@ -12,14 +12,14 @@ see ``docs/performance.md`` for the design and measured speedups.
 **Bit-identity contract.**  A registered :class:`RoundKernel` is a
 vectorized *reimplementation* of one algorithm's ``setup``/``step``;
 the parameterized equivalence relation (``repro.verify``) pins its
-RunResult — outputs, rounds, messages, failures, trace — to the scalar
+RunResult — outputs, rounds, messages, failures — to the scalar
 engines.  RandLOCAL kernels consume the exact same per-vertex
 ``random.Random`` streams in the exact same per-vertex draw order, so
 even sampled executions match draw-for-draw.
 
 **One round loop.**  The backend plugs a numpy-kernel stepper into
 :func:`repro.core.engine.run_rounds`, which owns the guards, bulk
-skips, trace rows and observer lifecycle for every backend; the
+skips and observer lifecycle for every backend; the
 stepper adds wake buckets over index arrays, crash-stop accounting,
 one :meth:`RoundKernel.step` call per round and the round's
 :class:`~repro.obs.RoundBatch`, with numpy vertex columns and the
@@ -48,7 +48,6 @@ engine-identical behavior, including error behavior and telemetry.
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
@@ -59,17 +58,16 @@ from ..core.checkpoint import CheckpointSession
 from ..core.context import Model
 from ..core.engine import (
     DEFAULT_MAX_ROUNDS,
-    RoundTrace,
     RunResult,
     Stepper,
     _attached_observers,
     _run_local_fast,
+    checked_ids,
     flat_adjacency,
     run_rounds,
     start_run,
 )
-from ..core.errors import DuplicateIDError, FaultEvent, ReproError, SimulationError
-from ..core.ids import check_unique_ids, sequential_ids
+from ..core.errors import FaultEvent, ReproError, SimulationError
 from ..graphs.graph import Graph
 from ..obs.observer import RoundBatch
 from .mt19937 import VectorMT
@@ -186,7 +184,7 @@ class VectorRun:
     """Shared state of one vectorized run, handed to the kernel.
 
     The stepper and the shared round loop own scheduling (wake
-    buckets, bulk skip, crashes, budgets, trace); the kernel owns the
+    buckets, bulk skip, crashes, budgets); the kernel owns the
     algorithm state and publishes.  Kernels report lifecycle changes
     through :meth:`halt` and :meth:`sleep` — the exact analogues of
     ``ctx.halt`` and ``ctx.sleep_until``.
@@ -205,28 +203,13 @@ class VectorRun:
         allow_duplicate_ids: bool,
     ) -> None:
         n = graph.num_vertices
-        # Mirror build_contexts' model validation verbatim, so
-        # configuration errors are backend-identical.
-        if model is Model.DET:
-            if ids is None:
-                ids = sequential_ids(n)
-            if len(ids) != n:
-                raise DuplicateIDError(f"need {n} IDs, got {len(ids)}")
-            if not allow_duplicate_ids:
-                check_unique_ids(ids)
+        ids = checked_ids(n, model, ids, allow_duplicate_ids)
+        self.ids: Optional[np.ndarray] = None
+        if ids is not None:
             try:
-                self.ids: Optional[np.ndarray] = np.asarray(
-                    [int(x) for x in ids], dtype=np.int64
-                )
+                self.ids = np.asarray([int(x) for x in ids], dtype=np.int64)
             except OverflowError:
-                self.ids = None  # kernels needing IDs must veto
-        else:
-            if ids is not None:
-                raise SimulationError(
-                    "RandLOCAL vertices are undifferentiated; "
-                    "do not pass IDs"
-                )
-            self.ids = None
+                pass  # kernels needing IDs must veto
         self.seed = seed
         #: Custom per-vertex stream factories cannot be vectorized;
         #: RandLOCAL kernels must veto when this is set.
@@ -270,16 +253,6 @@ class VectorRun:
                 raise SimulationError(
                     "custom rng_factory streams cannot be vectorized"
                 )
-            cap = os.environ.get("REPRO_VECTOR_WORD_CAP")
-            if cap:
-                # Supervisor degradation ladder, stage 1: clamp the
-                # initial buffer *hint* to shrink peak RSS.  Streams
-                # that outrun the cap still grow on demand, so results
-                # stay bit-identical — just slower.
-                try:
-                    min_words = min(min_words, max(1, int(cap)))
-                except ValueError:
-                    pass
             master = random.Random(self.seed)
             seeds = np.fromiter(
                 (master.getrandbits(64) for _ in range(self.n)),
@@ -480,9 +453,7 @@ class _KernelStepper(Stepper):
             return False
         return True
 
-    def capture(
-        self, rounds: int, messages: int, traces: List[RoundTrace]
-    ) -> Dict[str, Any]:
+    def capture(self, rounds: int, messages: int) -> Dict[str, Any]:
         """The ``"vector"`` snapshot.
 
         It holds the kernel's columnar algorithm state (its
@@ -503,7 +474,6 @@ class _KernelStepper(Stepper):
             "format": "vector",
             "rounds": rounds,
             "messages": messages,
-            "traces": list(traces),
             "kernel": {
                 key: value
                 for key, value in kernel.__dict__.items()
@@ -533,10 +503,7 @@ class _KernelStepper(Stepper):
         rng_state = payload["rng"]
         if rng_state is not None:
             # min_words sizes the regenerated buffer to the snapshot's
-            # depth up front (one refill instead of grow-and-replay); a
-            # smaller REPRO_VECTOR_WORD_CAP may clamp it, which stays
-            # correct — outrun cursors regrow transparently on the next
-            # draw.
+            # depth up front (one refill instead of grow-and-replay).
             rng = run.vector_rng(min_words=int(rng_state["words"]))
             rng.restore_positions(rng_state["pos"])
 
@@ -726,7 +693,6 @@ def run_local_vectorized(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     rng_factory: Optional[Any] = None,
     allow_duplicate_ids: bool = False,
-    trace: bool = False,
     observers: Optional[Sequence[Any]] = None,
     fault_plan: Optional[Any] = None,
     checkpoint: Optional[CheckpointSession] = None,
@@ -779,7 +745,6 @@ def run_local_vectorized(
             meta,
             faults,
             attached,
-            trace=trace,
             checkpoint=checkpoint,
         )
         if result is not None:
@@ -799,7 +764,6 @@ def run_local_vectorized(
         max_rounds=max_rounds,
         rng_factory=rng_factory,
         allow_duplicate_ids=allow_duplicate_ids,
-        trace=trace,
         observers=observers,
         fault_plan=fault_plan,
         checkpoint=checkpoint,

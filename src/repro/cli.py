@@ -621,8 +621,8 @@ def cmd_run(args: argparse.Namespace) -> int:
       ``--resume`` to continue a killed run byte-identically);
     - supervised: any of ``--retries/--deadline/--watchdog/--max-rss``
       — run in a watched child process via :mod:`repro.supervise`,
-      retrying from the newest snapshot and degrading on memory
-      pressure.
+      retrying from the newest snapshot after a crash, a hang or an
+      RSS-ceiling kill.
     """
     import contextlib
     import json as _json
@@ -1437,9 +1437,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="MIB",
-        help="supervised: RSS ceiling; a child crossing it restarts "
-        "one rung down the degradation ladder (smaller vector "
-        "buffers, then the scalar backend)",
+        help="supervised: RSS ceiling; a child crossing it is killed "
+        "and, like a crash, retried from the newest snapshot",
     )
     p.add_argument(
         "--trace",

@@ -3,7 +3,7 @@
 A *backend* is one way to execute the synchronous rounds.  The repo
 ships four.  ``"fast"`` (the default), ``"vectorized"`` and
 ``"sharded"`` share one round loop, :func:`repro.core.engine.run_rounds`
-(guards, bulk skips, trace, observer lifecycle, RunResult), and differ
+(guards, bulk skips, observer lifecycle, RunResult), and differ
 only in the stepper that executes a round: per-node stepping with
 dirty-commit and wake buckets; numpy whole-round kernels over the CSR
 adjacency (requires the ``[perf]`` extra; see ``docs/performance.md``);
@@ -13,7 +13,7 @@ loop the equivalence suite trusts.
 
 All backends share one contract: identical signature, identical
 :class:`~repro.core.engine.RunResult` (outputs, rounds, messages,
-failures, trace) and identical observer event streams for the same run.
+failures) and identical observer event streams for the same run.
 The parameterized equivalence relation in :mod:`repro.verify.relations`
 pins this down for every registered backend, so a new backend gets the
 correctness suite for free the moment it registers here.
@@ -189,8 +189,3 @@ def current_backend_name() -> str:
         return env
     return DEFAULT_BACKEND
 
-
-def resolve_runner(backend: Optional[str] = None) -> Runner:
-    """The runner for ``backend`` (or the currently selected one)."""
-    name = backend if backend is not None else current_backend_name()
-    return get_backend(name).load()

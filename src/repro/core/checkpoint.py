@@ -1,10 +1,10 @@
 """In-run checkpointing: round-boundary engine snapshots with exact resume.
 
-PR 4 made sweeps resilient at *cell* granularity — a killed worker
-throws away its whole run.  This module adds the third, finest recovery
-granularity: a run under ``run_local(checkpoint=CheckpointPolicy(...))``
-(or inside an ambient :func:`checkpointing` scope) snapshots its
-complete resumable state at round boundaries, and a resumed run
+Sweeps are resilient at *cell* granularity — a killed worker throws
+away its whole run.  This module adds the finest recovery granularity:
+every ``run_local`` call inside an ambient :func:`checkpointing` scope
+snapshots its complete resumable state every ``every_rounds`` round
+boundaries, and a resumed run
 reproduces the uninterrupted run's :class:`~repro.core.engine.RunResult`
 and JSONL trace **byte-identically** — same engines, same injected
 faults, same observer streams.  The ``checkpoint_resume`` relation in
@@ -29,8 +29,8 @@ that does not match the current run (different seed, size, or
 algorithm) makes the run start fresh instead of resuming into the wrong
 state.
 
-Multi-phase drivers make several ``run_local`` calls; under an ambient
-:func:`checkpointing` scope each call takes the next **slot**.
+Multi-phase drivers make several ``run_local`` calls; each call takes
+the next **slot** of the scope.
 Completed slots persist a ``.done`` snapshot (the pickled result plus
 observer end positions), so a resume replays finished phases without
 re-running their engines and restores observers to exactly where the
@@ -102,10 +102,8 @@ class CheckpointPolicy:
 
     ``path`` is a directory; each ``run_local`` call (slot) keeps one
     in-flight file ``slot-NNNN.ckpt`` and, once finished, one
-    ``slot-NNNN.done`` snapshot there.  At least one cadence must be
-    set: ``every_rounds`` checkpoints deterministically on round
-    boundaries, ``every_seconds`` on wall clock (the *content* is still
-    a round-boundary snapshot, so resume stays exact either way).
+    ``slot-NNNN.done`` snapshot there.  A snapshot is taken every
+    ``every_rounds`` round boundaries.
 
     ``resume`` makes runs under this policy restore from existing
     snapshots instead of overwriting them.  ``heartbeat`` is a plane-2
@@ -115,8 +113,7 @@ class CheckpointPolicy:
     """
 
     path: str
-    every_rounds: Optional[int] = None
-    every_seconds: Optional[float] = None
+    every_rounds: int
     resume: bool = False
     heartbeat: Optional[Callable[[Dict[str, Any]], None]] = None
     heartbeat_seconds: float = 0.5
@@ -124,17 +121,9 @@ class CheckpointPolicy:
     def __post_init__(self) -> None:
         if not self.path:
             raise ValueError("CheckpointPolicy.path must be a directory path")
-        if self.every_rounds is None and self.every_seconds is None:
-            raise ValueError(
-                "CheckpointPolicy needs every_rounds and/or every_seconds"
-            )
-        if self.every_rounds is not None and self.every_rounds < 1:
+        if self.every_rounds < 1:
             raise ValueError(
                 f"every_rounds must be >= 1, got {self.every_rounds}"
-            )
-        if self.every_seconds is not None and self.every_seconds <= 0:
-            raise ValueError(
-                f"every_seconds must be positive, got {self.every_seconds}"
             )
 
 
@@ -253,26 +242,20 @@ def current_checkpoint_scope() -> Optional[CheckpointScope]:
 def checkpointing(
     policy: Union[CheckpointPolicy, _PathLike],
     *,
-    every_rounds: Optional[int] = None,
-    every_seconds: Optional[float] = None,
+    every_rounds: int = 256,
     resume: Optional[bool] = None,
 ) -> Iterator[CheckpointScope]:
     """Ambient scope: every ``run_local`` call inside checkpoints.
 
     ``policy`` is a :class:`CheckpointPolicy` or a bare directory path
-    (then ``every_rounds`` defaults to 256).  ``resume`` overrides the
-    policy's flag.  Yields the scope, whose ``events`` list records
-    what each slot did (``restored``/``replayed``/``fresh``) for audit.
+    (then snapshotted every ``every_rounds`` rounds).  ``resume``
+    overrides the policy's flag.  Yields the scope, whose ``events``
+    list records what each slot did (``restored``/``replayed``/
+    ``fresh``) for audit.
     """
     if not isinstance(policy, CheckpointPolicy):
         policy = CheckpointPolicy(
-            path=os.fspath(policy),
-            every_rounds=(
-                every_rounds
-                if every_rounds is not None or every_seconds is not None
-                else 256
-            ),
-            every_seconds=every_seconds,
+            path=os.fspath(policy), every_rounds=every_rounds
         )
     os.makedirs(policy.path, exist_ok=True)
     scope = CheckpointScope(
@@ -286,21 +269,13 @@ def checkpointing(
         _SCOPES.pop()
 
 
-def standalone_scope(policy: CheckpointPolicy) -> CheckpointScope:
-    """A one-shot scope for ``run_local(checkpoint=policy)`` without an
-    ambient :func:`checkpointing` block (single-slot; a driver that
-    calls ``run_local`` several times needs the ambient form so each
-    call gets its own slot)."""
-    os.makedirs(policy.path, exist_ok=True)
-    return CheckpointScope(policy=policy, resume=policy.resume)
-
 
 class CheckpointSession:
     """One slot's checkpoint lifecycle, driven by ``run_local``.
 
     The engine only ever calls two methods on the hot path —
-    :meth:`due` (cheap: an int compare unless a wall-clock cadence or
-    heartbeat is configured) and :meth:`save` — both strictly at round
+    :meth:`due` (cheap: an int compare unless a heartbeat is
+    configured) and :meth:`save` — both strictly at round
     boundaries.  Everything else (binding, restore, done-memoization)
     happens once per run in ``run_local``.
     """
@@ -316,9 +291,8 @@ class CheckpointSession:
         self._done_result: Any = None
         self._have_done = False
         self._last_saved = 0
-        self._last_time = time.monotonic()
         self._hb_tick = 0
-        self._hb_last = self._last_time
+        self._hb_last = time.monotonic()
 
     # -- paths ---------------------------------------------------------
     @property
@@ -345,8 +319,8 @@ class CheckpointSession:
         if backend.capture_state is None or backend.restore_state is None:
             raise CheckpointError(
                 f"backend {backend.name!r} does not support checkpointing "
-                "(no capture_state/restore_state capability) — run without "
-                "checkpoint= or pick a capable backend"
+                "(no capture_state/restore_state capability) — run outside "
+                "the checkpointing scope or pick a capable backend"
             )
         for obs in observers:
             if not getattr(obs, "checkpoint_capable", False):
@@ -472,18 +446,7 @@ class CheckpointSession:
         """Is a snapshot due at the round-``rounds`` boundary?"""
         if self.policy.heartbeat is not None:
             self._maybe_heartbeat(rounds)
-        if rounds < 1 or rounds == self._last_saved:
-            return False
-        every_rounds = self.policy.every_rounds
-        if (
-            every_rounds is not None
-            and rounds - self._last_saved >= every_rounds
-        ):
-            return True
-        every_seconds = self.policy.every_seconds
-        if every_seconds is not None:
-            return time.monotonic() - self._last_time >= every_seconds
-        return False
+        return rounds - self._last_saved >= self.policy.every_rounds
 
     def save(self, handle: Any, rounds: int) -> None:
         """Snapshot the engine + observers at the ``rounds`` boundary."""
@@ -508,7 +471,6 @@ class CheckpointSession:
             blob,
         )
         self._last_saved = rounds
-        self._last_time = time.monotonic()
         hb = self.policy.heartbeat
         if hb is not None:
             hb({"slot": self.slot, "rounds": rounds, "saved": True})

@@ -21,9 +21,8 @@ Faithfulness guarantees:
 :mod:`repro.core.backend`).  Three of the four share one round loop,
 :func:`run_rounds`, which owns resume-or-setup, the checkpoint, budget
 and ``max_rounds`` guards, bulk-skipping of rounds in which every live
-vertex sleeps, the trace rows, the observer lifecycle and the
-:class:`RunResult`; each plugs in a :class:`Stepper` that executes one
-whole round:
+vertex sleeps, the observer lifecycle and the :class:`RunResult`; each
+plugs in a :class:`Stepper` that executes one whole round:
 
 - ``"fast"`` (:func:`_run_local_fast`, the default) — the per-node
   stepper (:class:`NodeStepper`).  It keeps a persistent ``visible``
@@ -85,14 +84,11 @@ from .backend import (
     current_backend_name,
     get_backend,
     register_backend,
-    use_backend,
 )
 from .checkpoint import (
     CheckpointError,
-    CheckpointPolicy,
     CheckpointSession,
     current_checkpoint_scope,
-    standalone_scope,
 )
 from .context import Model, NodeContext
 from .errors import DuplicateIDError, ReproError, SimulationError
@@ -117,20 +113,13 @@ class _Clock:
 
 
 @dataclass
-class RoundTrace:
-    """Per-round observability snapshot (opt-in via ``trace=True``)."""
-
-    #: Vertices not yet halted at the start of the round.
-    active: int
-    #: Vertices that actually executed a step (not sleeping).
-    awake: int
-    #: Vertices that halted during the round.
-    halted: int
-
-
-@dataclass
 class RunResult:
-    """Outcome of one engine run."""
+    """Outcome of one engine run.
+
+    Per-round activity (active, awake and halted counts) is not kept
+    here: observers read it from each round's
+    :class:`~repro.obs.RoundBatch`.
+    """
 
     #: Per-vertex outputs (``None`` where a vertex failed or never halted).
     outputs: List[Any]
@@ -140,21 +129,11 @@ class RunResult:
     messages: int
     #: Vertices that declared failure, as ``{vertex: reason}``.
     failures: Dict[int, str] = field(default_factory=dict)
-    #: Per-round activity snapshots (empty unless ``trace=True``).
-    trace: List[RoundTrace] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         """Whether no vertex declared failure."""
         return not self.failures
-
-    def activity_profile(self) -> List[int]:
-        """Awake-vertex counts per round (empty without tracing)."""
-        return [t.awake for t in self.trace]
-
-    def work(self) -> int:
-        """Total vertex-steps executed (empty trace -> 0)."""
-        return sum(t.awake for t in self.trace)
 
 
 @dataclass(frozen=True)
@@ -301,7 +280,7 @@ def active_fault_plan() -> Optional[Any]:
 def observe_runs(*observers: Any) -> Iterator[None]:
     """Attach ``observers`` to every ``run_local`` call in scope.
 
-    The counterpart of :func:`use_reference_engine`: multi-phase
+    The counterpart of :func:`~repro.core.backend.use_backend`: multi-phase
     drivers call ``run_local`` internally and take no ``observers``
     argument, so telemetry for a whole driver execution is attached
     ambiently::
@@ -390,6 +369,34 @@ def make_node_rngs(n: int, seed: Optional[int]) -> List[random.Random]:
     return [random.Random(master.getrandbits(64)) for _ in range(n)]
 
 
+def checked_ids(
+    n: int,
+    model: Model,
+    ids: Optional[Sequence[int]],
+    allow_duplicate_ids: bool,
+) -> Optional[Sequence[int]]:
+    """The run's vertex IDs, validated for the model.
+
+    DetLOCAL gets ``ids`` (default ``0..n-1``), checked for length and,
+    unless ``allow_duplicate_ids``, for uniqueness; RandLOCAL gets None
+    and refuses explicit IDs.  Every engine calls this, so
+    configuration errors are backend-identical.
+    """
+    if model is Model.DET:
+        if ids is None:
+            ids = sequential_ids(n)
+        if len(ids) != n:
+            raise DuplicateIDError(f"need {n} IDs, got {len(ids)}")
+        if not allow_duplicate_ids:
+            check_unique_ids(ids)
+        return ids
+    if ids is not None:
+        raise SimulationError(
+            "RandLOCAL vertices are undifferentiated; do not pass IDs"
+        )
+    return None
+
+
 def build_contexts(
     graph: Graph,
     model: Model,
@@ -419,19 +426,10 @@ def build_contexts(
     """
     n = graph.num_vertices
     max_degree = graph.max_degree
-    if model is Model.DET:
-        if ids is None:
-            ids = sequential_ids(n)
-        if len(ids) != n:
-            raise DuplicateIDError(f"need {n} IDs, got {len(ids)}")
-        if not allow_duplicate_ids:
-            check_unique_ids(ids)
+    ids = checked_ids(n, model, ids, allow_duplicate_ids)
+    if ids is not None:
         rngs: List[Optional[random.Random]] = [None] * n
     else:
-        if ids is not None:
-            raise SimulationError(
-                "RandLOCAL vertices are undifferentiated; do not pass IDs"
-            )
         ids = [None] * n  # type: ignore[list-item]
         if rng_factory is not None:
             rngs = [rng_factory(v) for v in range(n)]
@@ -475,19 +473,6 @@ def flat_adjacency(graph: Graph) -> Tuple[List[int], List[int]]:
     return offsets, targets
 
 
-@contextmanager
-def use_reference_engine() -> Iterator[None]:
-    """Route every :func:`run_local` call to the reference engine.
-
-    Lets the equivalence suite execute whole multi-phase drivers (which
-    call ``run_local`` internally) under the kept-simple implementation
-    without touching their code.  Kept as a compatibility alias for
-    ``use_backend("reference")`` (see :mod:`repro.core.backend`).
-    """
-    with use_backend("reference"):
-        yield
-
-
 def run_local(
     graph: Graph,
     algorithm: SyncAlgorithm,
@@ -500,13 +485,15 @@ def run_local(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     rng_factory: Optional[Any] = None,
     allow_duplicate_ids: bool = False,
-    trace: bool = False,
     observers: Optional[Sequence[Any]] = None,
     fault_plan: Optional[Any] = None,
     backend: Optional[str] = None,
-    checkpoint: Optional[CheckpointPolicy] = None,
 ) -> RunResult:
     """Run ``algorithm`` on ``graph`` under ``model``.
+
+    Inside an ambient :func:`~repro.core.checkpoint.checkpointing`
+    scope the run snapshots its resumable state at round boundaries
+    and, when the scope resumes, restores from its slot's snapshot.
 
     Parameters
     ----------
@@ -543,16 +530,6 @@ def run_local(
         ``"fast"``.  Every backend returns the identical
         :class:`RunResult` — selection is a performance choice, never a
         semantic one.
-    checkpoint:
-        A :class:`~repro.core.checkpoint.CheckpointPolicy` — snapshot
-        the run's complete resumable state at round boundaries, and
-        (with ``resume=True``) restore from an existing snapshot so
-        the run reproduces the uninterrupted execution byte-for-byte.
-        Overrides any ambient :func:`~repro.core.checkpoint.checkpointing`
-        scope; requires a backend with the
-        ``capture_state``/``restore_state`` capability and
-        checkpoint-capable observers.  ``None`` (the default) keeps the
-        engine on the no-checkpoint hot path.
 
     Returns
     -------
@@ -565,13 +542,6 @@ def run_local(
     # honored exactly as the registry API documents.
     be = get_backend(name)
     runner: Runner = be.load()
-    session: Optional[CheckpointSession] = None
-    if checkpoint is not None:
-        session = standalone_scope(checkpoint).next_session()
-    else:
-        scope = current_checkpoint_scope()
-        if scope is not None:
-            session = scope.next_session()
     options: Dict[str, Any] = {
         "ids": ids,
         "seed": seed,
@@ -580,15 +550,15 @@ def run_local(
         "max_rounds": max_rounds,
         "rng_factory": rng_factory,
         "allow_duplicate_ids": allow_duplicate_ids,
-        "trace": trace,
         "observers": observers,
         "fault_plan": fault_plan,
     }
-    if session is None:
-        # No checkpointing anywhere in scope: call the runner exactly
-        # as before (custom-registered backends need not know the
-        # ``checkpoint`` keyword exists).
+    scope = current_checkpoint_scope()
+    if scope is None:
+        # No checkpointing in scope: custom-registered backends need
+        # not know the ``checkpoint`` keyword exists.
         return runner(graph, algorithm, model, **options)
+    session = scope.next_session()
     plan = fault_plan if fault_plan is not None else _ACTIVE_FAULT_PLAN
     fault_fp: Optional[Dict[str, Any]] = None
     if plan is not None:
@@ -619,7 +589,6 @@ def run_local(
             "num_edges": graph.num_edges,
             "seed": seed,
             "max_rounds": max_rounds,
-            "trace": trace,
             "backend": name,
             "slot": session.slot,
             "faults": fault_fp,
@@ -648,7 +617,7 @@ class _ScalarState:
     by the same two functions.
     """
 
-    __slots__ = ("contexts", "faults", "rounds", "messages", "traces")
+    __slots__ = ("contexts", "faults", "rounds", "messages")
 
     def __init__(
         self,
@@ -656,13 +625,11 @@ class _ScalarState:
         faults: Optional[Any],
         rounds: int = 0,
         messages: int = 0,
-        traces: Optional[List[RoundTrace]] = None,
     ) -> None:
         self.contexts = contexts
         self.faults = faults
         self.rounds = rounds
         self.messages = messages
-        self.traces: List[RoundTrace] = traces if traces is not None else []
 
 
 def _capture_scalar_state(state: _ScalarState) -> Dict[str, Any]:
@@ -700,7 +667,6 @@ def _capture_scalar_state(state: _ScalarState) -> Dict[str, Any]:
         "format": "scalar",
         "rounds": state.rounds,
         "messages": state.messages,
-        "traces": list(state.traces),
         "nodes": nodes,
         "fault_last": fault_last,
     }
@@ -712,7 +678,6 @@ def _restore_scalar_state(
     """Apply a ``"scalar"`` snapshot onto freshly built contexts."""
     state.rounds = payload["rounds"]
     state.messages = payload["messages"]
-    state.traces[:] = payload["traces"]
     nodes = payload["nodes"]
     if len(nodes) != len(state.contexts):
         raise CheckpointError(
@@ -775,9 +740,7 @@ class Stepper:
     def restore(self, payload: Dict[str, Any]) -> None:
         raise NotImplementedError
 
-    def capture(
-        self, rounds: int, messages: int, traces: List[RoundTrace]
-    ) -> Dict[str, Any]:
+    def capture(self, rounds: int, messages: int) -> Dict[str, Any]:
         raise NotImplementedError
 
     def schedule(self, rounds: int) -> None:
@@ -819,15 +782,13 @@ class RunState:
     stepper: Stepper
     rounds: int = 0
     messages: int = 0
-    traces: List[RoundTrace] = field(default_factory=list)
 
     def capture(self) -> Dict[str, Any]:
-        return self.stepper.capture(self.rounds, self.messages, self.traces)
+        return self.stepper.capture(self.rounds, self.messages)
 
     def restore(self, payload: Dict[str, Any]) -> None:
         self.rounds = int(payload["rounds"])
         self.messages = int(payload["messages"])
-        self.traces[:] = payload["traces"]
         self.stepper.restore(payload)
 
 
@@ -861,7 +822,6 @@ def run_rounds(
     faults: Any,
     observers: Tuple[Any, ...],
     *,
-    trace: bool,
     checkpoint: Optional[CheckpointSession],
 ) -> Optional[RunResult]:
     """The round loop of the fast, vectorized and sharded backends.
@@ -871,10 +831,9 @@ def run_rounds(
     bulk-account a span in which every live vertex sleeps (up to the
     next wake, clamped at the cap and the budget, so both guards fire
     at exactly the round the reference engine reaches them) or let the
-    stepper execute one round.  Skipped rounds still get a trace row
-    and an empty round batch with the counts the reference engine
-    reports for them: every parked vertex active, nobody awake, nobody
-    halting.
+    stepper execute one round.  Skipped rounds still get an empty
+    round batch with the counts the reference engine reports for them:
+    every parked vertex active, nobody awake, nobody halting.
 
     Observers get one ``RoundBatch`` per round.  A run opens — only
     once setup succeeded — with ``on_run_start``, ``on_backend_info``
@@ -914,7 +873,6 @@ def run_rounds(
                 )
         rounds = state.rounds
         messages = state.messages
-        traces = state.traces
         stepper.schedule(rounds)
         while True:
             active = stepper.active()
@@ -943,11 +901,6 @@ def run_rounds(
                 skip_to = min(skip_to, max_rounds)
                 if budget is not None and budget < skip_to:
                     skip_to = budget
-                if trace:
-                    traces.extend(
-                        RoundTrace(active=active, awake=0, halted=0)
-                        for _ in range(rounds, skip_to)
-                    )
                 if observers:
                     for r in range(rounds, skip_to):
                         empty = RoundBatch(
@@ -959,10 +912,6 @@ def run_rounds(
                 rounds = skip_to
                 continue
             awake, halted = stepper.step(rounds)
-            if trace:
-                traces.append(
-                    RoundTrace(active=active, awake=awake, halted=halted)
-                )
             if observers:
                 batch = stepper.round_batch(
                     rounds, active, awake, halted, messages_per_round
@@ -987,7 +936,6 @@ def run_rounds(
         rounds=rounds,
         messages=messages,
         failures=failures,
-        trace=traces,
     )
     for obs in observers:
         obs.on_run_end(result)
@@ -1060,11 +1008,9 @@ class NodeStepper(Stepper):
         self.clock.now = payload["rounds"]
         self.visible = [ctx._pub for ctx in self.contexts]
 
-    def capture(
-        self, rounds: int, messages: int, traces: List[RoundTrace]
-    ) -> Dict[str, Any]:
+    def capture(self, rounds: int, messages: int) -> Dict[str, Any]:
         return _capture_scalar_state(
-            _ScalarState(self.contexts, self.faults, rounds, messages, traces)
+            _ScalarState(self.contexts, self.faults, rounds, messages)
         )
 
     def schedule(
@@ -1219,7 +1165,6 @@ def _run_local_fast(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     rng_factory: Optional[Any] = None,
     allow_duplicate_ids: bool = False,
-    trace: bool = False,
     observers: Optional[Sequence[Any]] = None,
     fault_plan: Optional[Any] = None,
     checkpoint: Optional[CheckpointSession] = None,
@@ -1246,7 +1191,6 @@ def _run_local_fast(
         meta,
         faults,
         attached,
-        trace=trace,
         checkpoint=checkpoint,
     )
     assert result is not None  # the per-node stepper never declines
@@ -1285,7 +1229,6 @@ def run_local_reference(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     rng_factory: Optional[Any] = None,
     allow_duplicate_ids: bool = False,
-    trace: bool = False,
     observers: Optional[Sequence[Any]] = None,
     fault_plan: Optional[Any] = None,
     checkpoint: Optional[CheckpointSession] = None,
@@ -1293,7 +1236,7 @@ def run_local_reference(
     """The kept-simple engine: full snapshot and full scan every round.
 
     Semantically identical to :func:`run_local` (same signature, same
-    :class:`RunResult` down to the trace), but O(n) per round regardless
+    :class:`RunResult`), but O(n) per round regardless
     of how many vertices are awake.  It exists as the oracle for the
     equivalence suite and as the baseline the perf harness measures
     speedups against; it must stay a direct transcription of the model.
@@ -1315,20 +1258,11 @@ def run_local_reference(
         allow_duplicate_ids=allow_duplicate_ids,
     )
     n = graph.num_vertices
+    meta, faults = start_run(
+        graph, algorithm, model, max_rounds, seed, fault_plan
+    )
     attached = _attached_observers(observers)
     events = _Events() if attached else None
-    meta = RunMeta(
-        algorithm=algorithm.name,
-        model=model,
-        n=n,
-        num_edges=graph.num_edges,
-        max_degree=graph.max_degree,
-        max_rounds=max_rounds,
-        seed=seed,
-        graph=graph,
-    )
-    plan = fault_plan if fault_plan is not None else _ACTIVE_FAULT_PLAN
-    faults = plan.activate(meta) if plan is not None else None
     clock = _Clock()
     state = _ScalarState(contexts, faults)
     resumed = (
@@ -1361,7 +1295,6 @@ def run_local_reference(
         rounds = state.rounds
         messages = state.messages
         messages_per_round = 2 * graph.num_edges
-        traces: List[RoundTrace] = state.traces
         active = [v for v in range(n) if not contexts[v].halted]
         budget = faults.budget if faults is not None else None
         deliver = (
@@ -1422,14 +1355,6 @@ def run_local_reference(
                     events.settle(v, ctx)
             for v in active:
                 contexts[v]._commit()
-            if trace:
-                traces.append(
-                    RoundTrace(
-                        active=len(active),
-                        awake=awake,
-                        halted=halted_this_round,
-                    )
-                )
             if events is not None:
                 batch = events.batch(
                     rounds,
@@ -1459,7 +1384,6 @@ def run_local_reference(
         rounds=rounds,
         messages=messages,
         failures=failures,
-        trace=traces,
     )
     for obs in attached:
         obs.on_run_end(result)

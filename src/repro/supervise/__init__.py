@@ -11,19 +11,15 @@ the parent:
   pipe; silence longer than ``watchdog`` seconds means the child hung
   and it is killed and retried from its last snapshot;
 - **deadline** — a total wall-clock budget for all attempts together;
+- **RSS ceiling** — a child whose resident set exceeds ``max_rss_kb``
+  is killed, like a hung one;
 - **bounded retries with exponential backoff** — crashes, watchdog
-  kills, and nonzero exits consume attempts; each retry resumes from
-  the newest checkpoint, so progress is never lost, only the tail
-  since the last snapshot is re-executed (byte-identically);
-- **RSS ceiling with graceful degradation** — a child whose resident
-  set exceeds ``max_rss_kb`` is killed and restarted one rung down a
-  two-stage ladder: first ``REPRO_VECTOR_WORD_CAP`` shrinks the
-  vectorized backend's per-vertex draw-budget buffers (results stay
-  bit-identical, the run just regenerates more often), then the run
-  falls back from the vectorized to the ``fast`` backend — which
-  cannot consume vector-format snapshots, so the slots are discarded
-  (recorded as a ``checkpoint_discarded`` event) and the run restarts
-  fresh on the scalar engine.
+  and RSS kills, and nonzero exits consume attempts; each retry
+  resumes from the newest checkpoint with unchanged settings, so
+  progress is never lost, only the tail since the last snapshot is
+  re-executed (byte-identically).  The final error names the last
+  failure: for an RSS kill, the measured resident set and the
+  ceiling.
 
 Everything the supervisor observes is recorded as
 :class:`SupervisorEvent` rows inside the returned :class:`RunOutcome`
@@ -32,10 +28,9 @@ Everything the supervisor observes is recorded as
 :class:`repro.obs.TimingSidecarObserver` qualifies) — mirrored into
 the plane-2 timing sidecar as ``supervisor_*`` rows.
 
-The child applies ``env`` overrides *after* the fork, so the parent's
-environment is never mutated.  The module deliberately lives outside
-the engine: the engine knows how to snapshot and resume; policy about
-when to kill, retry, and degrade belongs up here.
+The module deliberately lives outside the engine: the engine knows how
+to snapshot and resume; policy about when to kill and retry belongs up
+here.
 """
 
 from __future__ import annotations
@@ -53,19 +48,6 @@ __all__ = [
     "SupervisorEvent",
     "supervise_run",
 ]
-
-#: Stage-1 degradation: initial VectorMT buffer hint clamp (words per
-#: vertex).  Small enough to matter at n = 10^6+, large enough that
-#: typical kernels rarely regenerate.
-DEGRADED_WORD_CAP = 8
-
-#: Stage-2 degradation: the backend the retry is pinned to — the
-#: serial per-node engine, the smallest-footprint implementation every
-#: install carries (multi-process and vectorized backends both degrade
-#: to it).  Must name a registered backend; the backend-surface
-#: meta-test in ``tests/test_backends.py`` checks it against the
-#: registry so a rename cannot silently break the ladder.
-DEGRADATION_BACKEND = "fast"
 
 
 @dataclass
@@ -95,7 +77,6 @@ class RunOutcome:
     error: Optional[str]
     attempts: int
     events: List[SupervisorEvent]
-    env: Dict[str, str]
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready form (the result itself is left to the caller —
@@ -104,7 +85,6 @@ class RunOutcome:
             "ok": self.ok,
             "error": self.error,
             "attempts": self.attempts,
-            "env": dict(self.env),
             "events": [event.to_dict() for event in self.events],
         }
 
@@ -113,11 +93,9 @@ def _child_entry(
     conn: Any,
     target: Callable[[], Any],
     policy: CheckpointPolicy,
-    env: Dict[str, str],
 ) -> None:
-    """Forked child: apply env overrides, run the workload under the
-    checkpointing scope, ship the result (or the error) up the pipe."""
-    os.environ.update(env)
+    """Forked child: run the workload under the checkpointing scope,
+    ship the result (or the error) up the pipe."""
     try:
         with checkpointing(policy) as scope:
             result = target()
@@ -156,8 +134,7 @@ def supervise_run(
     target: Callable[[], Any],
     *,
     checkpoint_dir: str,
-    every_rounds: Optional[int] = 256,
-    every_seconds: Optional[float] = None,
+    every_rounds: int = 256,
     retries: int = 2,
     backoff: float = 0.5,
     deadline: Optional[float] = None,
@@ -165,7 +142,6 @@ def supervise_run(
     max_rss_kb: Optional[int] = None,
     heartbeat_seconds: float = 0.5,
     sidecar: Any = None,
-    poll_seconds: float = 0.05,
 ) -> RunOutcome:
     """Run ``target()`` in a supervised child process; see module doc.
 
@@ -181,8 +157,6 @@ def supervise_run(
     ctx = multiprocessing.get_context("fork")
     started = time.monotonic()
     events: List[SupervisorEvent] = []
-    env: Dict[str, str] = {}
-    degrade_stage = 0
     last_error: Optional[str] = None
 
     def emit(kind: str, attempt: int, **detail: Any) -> None:
@@ -204,21 +178,6 @@ def supervise_run(
             return None
         return deadline - (time.monotonic() - started)
 
-    def discard_slots() -> List[str]:
-        removed = []
-        try:
-            names = sorted(os.listdir(checkpoint_dir))
-        except OSError:
-            return removed
-        for name in names:
-            if name.endswith((".ckpt", ".done")):
-                try:
-                    os.unlink(os.path.join(checkpoint_dir, name))
-                    removed.append(name)
-                except OSError:
-                    pass
-        return removed
-
     attempt = 0
     attempts_made = 0
     while attempt <= retries:
@@ -230,25 +189,24 @@ def supervise_run(
         policy = CheckpointPolicy(
             path=checkpoint_dir,
             every_rounds=every_rounds,
-            every_seconds=every_seconds,
             resume=True,
             heartbeat=lambda info: child_conn.send(("hb", info)),
             heartbeat_seconds=heartbeat_seconds,
         )
         proc = ctx.Process(
             target=_child_entry,
-            args=(child_conn, target, policy, dict(env)),
+            args=(child_conn, target, policy),
         )
         proc.start()
         child_conn.close()
         attempts_made += 1
-        emit("start", attempt, pid=proc.pid, env=dict(env))
+        emit("start", attempt, pid=proc.pid)
 
         verdict: str = "died"
         payload: Any = None
         last_msg = time.monotonic()
         while True:
-            if parent_conn.poll(poll_seconds):
+            if parent_conn.poll(0.05):
                 try:
                     kind, body = parent_conn.recv()
                 except EOFError:
@@ -294,7 +252,6 @@ def supervise_run(
                 error=None,
                 attempts=attempts_made,
                 events=events,
-                env=dict(env),
             )
         if verdict == "deadline":
             emit("deadline", attempt, budget=deadline)
@@ -307,28 +264,10 @@ def supervise_run(
             last_error = f"no heartbeat for {watchdog}s (hung?)"
             emit("watchdog_kill", attempt, watchdog=watchdog)
         elif verdict == "rss":
-            last_error = f"resident set {payload} KiB over ceiling {max_rss_kb}"
+            last_error = (
+                f"resident set {payload} KiB over ceiling {max_rss_kb} KiB"
+            )
             emit("rss_kill", attempt, rss_kb=payload, max_rss_kb=max_rss_kb)
-            if degrade_stage == 0:
-                env["REPRO_VECTOR_WORD_CAP"] = str(DEGRADED_WORD_CAP)
-                degrade_stage = 1
-                emit(
-                    "degrade",
-                    attempt,
-                    stage=1,
-                    action=f"REPRO_VECTOR_WORD_CAP={DEGRADED_WORD_CAP}",
-                )
-            elif degrade_stage == 1:
-                env["REPRO_BACKEND"] = DEGRADATION_BACKEND
-                degrade_stage = 2
-                removed = discard_slots()
-                emit(
-                    "degrade",
-                    attempt,
-                    stage=2,
-                    action=f"REPRO_BACKEND={DEGRADATION_BACKEND}",
-                )
-                emit("checkpoint_discarded", attempt, files=removed)
         else:  # died
             last_error = last_error or "child exited without a result"
             emit("child_died", attempt, exitcode=proc.exitcode)
@@ -349,5 +288,4 @@ def supervise_run(
         error=last_error,
         attempts=attempts_made,
         events=events,
-        env=dict(env),
     )

@@ -55,12 +55,7 @@ from ..algorithms.drivers import DriverSpec
 from ..core.algorithm import SyncAlgorithm
 from ..core.backend import available_backend_names, use_backend
 from ..core.context import Model
-from ..core.engine import (
-    inject_faults,
-    observe_runs,
-    run_local,
-    use_reference_engine,
-)
+from ..core.engine import inject_faults, observe_runs, run_local
 from ..faults.plan import FaultPlan
 from ..faults.runtime import mix64
 from ..graphs.graph import Graph
@@ -499,7 +494,7 @@ class EngineEquivalence(Relation):
     def check(
         self, subject: Subject, instance: Instance
     ) -> Optional[RelationViolation]:
-        with use_reference_engine():
+        with use_backend("reference"):
             reference = run_outcome(subject, instance)
         for name in available_backend_names():
             if name == "reference":

@@ -34,6 +34,7 @@ from repro.core import (
 from repro.core.backend import _REGISTRY
 from repro.faults import FaultPlan
 from repro.graphs.generators import cycle_graph, random_tree_bounded_degree
+from tests.test_io_tracing import ActivityLog, run_with_activity
 
 NUMPY_AVAILABLE = "vectorized" in available_backend_names()
 
@@ -239,34 +240,35 @@ class TestVectorizedBackend:
 
         graph, params = _color_bidding_tree()
         params = dict(params, main_palette=70)
-        fast = run_local(
+        fast, fast_rows = run_with_activity(
             graph, ColorBiddingAlgorithm(), Model.RAND, seed=3,
-            global_params=params, trace=True,
+            global_params=params,
         )
+        log = ActivityLog()
         vec = run_local_vectorized(
             graph, ColorBiddingAlgorithm(), Model.RAND, seed=3,
-            global_params=params, trace=True,
+            global_params=params, observers=[log],
         )
         assert fast.outputs == vec.outputs
-        assert fast.trace == vec.trace
+        assert fast_rows == log.rows
 
     def test_crash_faults_identical_on_kernel_path(self):
         graph, params = _color_bidding_tree()
         plan = FaultPlan(
             seed=5, crashes={3: 1}, crash_rate=0.05, crash_round=2
         )
-        fast = run_local(
+        fast, fast_rows = run_with_activity(
             graph, ColorBiddingAlgorithm(), Model.RAND, seed=9,
-            global_params=params, trace=True, fault_plan=plan,
+            global_params=params, fault_plan=plan,
         )
-        vec = run_local(
+        vec, vec_rows = run_with_activity(
             graph, ColorBiddingAlgorithm(), Model.RAND, seed=9,
-            global_params=params, trace=True, fault_plan=plan,
+            global_params=params, fault_plan=plan,
             backend="vectorized",
         )
         assert fast.outputs == vec.outputs
         assert fast.failures == vec.failures
-        assert fast.trace == vec.trace
+        assert fast_rows == vec_rows
         assert fast.failures  # the plan really crashed someone
 
     def _linial_sparse_ids(self, n=30):
@@ -293,19 +295,19 @@ class TestVectorizedBackend:
         engines do — on the kernel path, not via fallback."""
         graph, ids, params = self._linial_sparse_ids()
         plan = FaultPlan(seed=5, crashes={3: 1, 11: 1})
-        fast = run_local(
+        fast, fast_rows = run_with_activity(
             graph, LinialColoring(), Model.DET, ids=ids,
-            global_params=params, trace=True, fault_plan=plan,
+            global_params=params, fault_plan=plan,
         )
         self._forbid_fallback(monkeypatch)
-        vec = run_local(
+        vec, vec_rows = run_with_activity(
             graph, LinialColoring(), Model.DET, ids=ids,
-            global_params=params, trace=True, fault_plan=plan,
+            global_params=params, fault_plan=plan,
             backend="vectorized",
         )
         assert fast.outputs == vec.outputs
         assert fast.failures == vec.failures
-        assert fast.trace == vec.trace
+        assert fast_rows == vec_rows
         assert fast.failures  # the plan really crashed someone
 
     def test_linial_stale_crash_color_raises_identically(self):
@@ -354,20 +356,19 @@ class TestVectorizedBackend:
         ids = [(v * 9176 + 5) % (1 << 18) for v in range(40)]
         params = {"out_degree": 1, "id_space": 1 << 18}
         plan = FaultPlan(seed=1, crashes={0: 0, 9: 2})
-        fast = run_local(
+        fast, fast_rows = run_with_activity(
             graph, OrientedLinialColoring(), Model.DET, ids=ids,
-            node_inputs=inputs, global_params=params, trace=True,
-            fault_plan=plan,
+            node_inputs=inputs, global_params=params, fault_plan=plan,
         )
         self._forbid_fallback(monkeypatch)
-        vec = run_local(
+        vec, vec_rows = run_with_activity(
             graph, OrientedLinialColoring(), Model.DET, ids=ids,
-            node_inputs=inputs, global_params=params, trace=True,
+            node_inputs=inputs, global_params=params,
             fault_plan=plan, backend="vectorized",
         )
         assert fast.outputs == vec.outputs
         assert fast.failures == vec.failures
-        assert fast.trace == vec.trace
+        assert fast_rows == vec_rows
 
     def test_crash_plan_falls_back_without_declared_support(
         self, monkeypatch
@@ -391,18 +392,18 @@ class TestVectorizedBackend:
         )
         graph, ids, params = self._linial_sparse_ids()
         plan = FaultPlan(seed=5, crashes={3: 1})
-        fast = run_local(
+        fast, fast_rows = run_with_activity(
             graph, LinialColoring(), Model.DET, ids=ids,
-            global_params=params, trace=True, fault_plan=plan,
+            global_params=params, fault_plan=plan,
         )
-        vec = run_local(
+        vec, vec_rows = run_with_activity(
             graph, LinialColoring(), Model.DET, ids=ids,
-            global_params=params, trace=True, fault_plan=plan,
+            global_params=params, fault_plan=plan,
             backend="vectorized",
         )
         assert calls == ["fast"]
         assert fast.outputs == vec.outputs
-        assert fast.trace == vec.trace
+        assert fast_rows == vec_rows
 
     def test_message_faults_fall_back_and_match(self):
         graph, params = _color_bidding_tree(n=80)
@@ -755,12 +756,6 @@ class TestBackendSurfaces:
                     "s", [6.0], measure, seeds=(0,), journal=journal,
                     backend=other,
                 )
-
-    def test_supervise_degradation_backend_is_registered(self):
-        from repro.supervise import DEGRADATION_BACKEND
-
-        assert DEGRADATION_BACKEND in backend_names()
-        assert DEGRADATION_BACKEND in available_backend_names()
 
     def test_every_backend_supports_checkpoint_capture(self):
         """The checkpoint/supervise stack requires capture/restore

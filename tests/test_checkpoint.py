@@ -30,7 +30,6 @@ from repro.core.checkpoint import (
     checkpointing,
     load_checkpoint,
     save_checkpoint,
-    standalone_scope,
 )
 from repro.faults import FaultPlan, inject_faults
 from repro.graphs.generators import random_tree_bounded_degree
@@ -191,14 +190,12 @@ class TestFileFormat:
 
 class TestPolicyValidation:
     def test_needs_a_cadence(self, tmp_path):
-        with pytest.raises(ValueError, match="every_rounds and/or"):
+        with pytest.raises(TypeError, match="every_rounds"):
             CheckpointPolicy(path=str(tmp_path))
 
     def test_rejects_bad_cadences(self, tmp_path):
         with pytest.raises(ValueError, match="every_rounds"):
             CheckpointPolicy(path=str(tmp_path), every_rounds=0)
-        with pytest.raises(ValueError, match="every_seconds"):
-            CheckpointPolicy(path=str(tmp_path), every_seconds=0.0)
 
     def test_rejects_empty_path(self):
         with pytest.raises(ValueError, match="path"):
@@ -393,31 +390,6 @@ def test_corrupted_snapshot_is_loud_on_resume(tmp_path):
             run_noisy()
 
 
-def test_every_seconds_cadence_saves(tmp_path):
-    policy = CheckpointPolicy(
-        path=str(tmp_path), every_seconds=1e-9, resume=False
-    )
-    run_noisy(checkpoint=policy)
-    assert os.path.exists(tmp_path / "slot-0000.ckpt")
-    assert os.path.exists(tmp_path / "slot-0000.done")
-
-
-def test_run_local_checkpoint_kwarg_resumes(tmp_path):
-    """The single-slot spelling: run_local(checkpoint=...) without an
-    ambient scope."""
-    baseline = run_noisy()
-    policy = CheckpointPolicy(path=str(tmp_path), every_rounds=1)
-    with pytest.raises(_Kill):
-        with observe_runs(KillSwitch(4)):
-            run_noisy(checkpoint=policy)
-    resume = CheckpointPolicy(
-        path=str(tmp_path), every_rounds=1, resume=True
-    )
-    with observe_runs(KillSwitch(None)):
-        resumed = run_noisy(checkpoint=resume)
-    assert resumed == baseline
-
-
 # ----------------------------------------------------------------------
 # Capability gating and diagnostics
 # ----------------------------------------------------------------------
@@ -440,8 +412,8 @@ def test_incapable_backend_fails_fast(tmp_path):
         capture_state = None
         restore_state = None
 
-    policy = CheckpointPolicy(path=str(tmp_path), every_rounds=1)
-    session = standalone_scope(policy).next_session()
+    with checkpointing(str(tmp_path), every_rounds=1) as scope:
+        session = scope.next_session()
     with pytest.raises(CheckpointError, match="does not support"):
         session.bind(NoSnapshots(), (), {})
 
@@ -460,8 +432,8 @@ def test_observer_arity_mismatch_is_loud(tmp_path):
 
 
 def test_engine_format_mismatch_is_loud(tmp_path):
-    policy = CheckpointPolicy(path=str(tmp_path), every_rounds=1)
-    session = standalone_scope(policy).next_session()
+    with checkpointing(str(tmp_path), every_rounds=1) as scope:
+        session = scope.next_session()
     session._engine_payload = {"format": "vector"}
     with pytest.raises(
         CheckpointError, match="same backend configuration"
@@ -483,7 +455,8 @@ def test_heartbeat_reports_saves(tmp_path):
         heartbeat=beats.append,
         heartbeat_seconds=1e9,
     )
-    run_noisy(checkpoint=policy)
+    with checkpointing(policy):
+        run_noisy()
     saved = [b for b in beats if b.get("saved")]
     assert saved and all(b["slot"] == 0 for b in saved)
     assert [b["rounds"] for b in saved] == sorted(

@@ -7,14 +7,16 @@ must be indistinguishable from the kept-simple
 :func:`repro.core.run_local_reference` (full snapshot and full scan
 every round).  This suite pins that down two ways:
 
-- direct ``run_local`` calls with ``trace=True`` on synthetic
-  algorithms exercising the optimized paths (sleep buckets, partial
-  publishes, failures, max_rounds), asserting full ``RunResult``
-  equality — outputs, rounds, messages, failures, and trace;
+- direct ``run_local`` calls on synthetic algorithms exercising the
+  optimized paths (sleep buckets, partial publishes, failures,
+  max_rounds), asserting full ``RunResult`` equality — outputs,
+  rounds, messages, failures — and identical observer event streams,
+  whose round boundaries carry each round's active, awake and halted
+  counts;
 - driver-level comparisons running every shipped algorithm family
   (coloring, MIS, matching, sinkless, Δ⁵⁵, decomposition) on fixed
   seeds, once per registered backend and once under
-  :func:`use_reference_engine`, asserting identical labelings, round
+  ``use_backend("reference")``, asserting identical labelings, round
   counts, and phase logs.
 
 Both legs parameterize over the backend registry: registering a new
@@ -52,7 +54,6 @@ from repro.core import (
     run_local,
     run_local_reference,
     use_backend,
-    use_reference_engine,
 )
 from repro.faults import FaultPlan
 from repro.graphs.generators import (
@@ -88,13 +89,11 @@ CANDIDATE_BACKENDS = backend_params()
 
 
 def assert_results_identical(fast, reference):
-    """Full RunResult equality: outputs, rounds, messages, failures,
-    trace (RoundTrace dataclasses compare field-wise)."""
+    """Full RunResult equality: outputs, rounds, messages, failures."""
     assert fast.outputs == reference.outputs
     assert fast.rounds == reference.rounds
     assert fast.messages == reference.messages
     assert fast.failures == reference.failures
-    assert fast.trace == reference.trace
 
 
 class _EventRecorder(RunObserver):
@@ -143,11 +142,11 @@ def run_both(graph, algorithm_factory, model, backend="fast", **kwargs):
     asserting full result *and* observer-event-stream equality."""
     fast_rec, ref_rec = _EventRecorder(), _EventRecorder()
     fast = run_local(
-        graph, algorithm_factory(), model, trace=True,
+        graph, algorithm_factory(), model,
         observers=[fast_rec], backend=backend, **kwargs
     )
     reference = run_local_reference(
-        graph, algorithm_factory(), model, trace=True,
+        graph, algorithm_factory(), model,
         observers=[ref_rec], **kwargs
     )
     assert_results_identical(fast, reference)
@@ -272,26 +271,25 @@ class TestSyntheticEquivalence:
         assert result.rounds == max(i["klass"] for i in inputs) + 1
 
     def test_bulk_skipped_span_trace_pinned(self, backend):
-        """Explicit expected trace for a run with a bulk-skipped span:
-        the fast engine must synthesize per-round entries (and observer
-        round events) identical to the reference engine's full scan."""
-        from repro.core.engine import RoundTrace
-
+        """Explicit expected per-round activity for a run with a
+        bulk-skipped span: the fast engine must synthesize round events
+        identical to the reference engine's full scan."""
         graph, inputs = _budget_in_skip_setup()
         rec = _EventRecorder()
-        result = run_local(
+        run_local(
             graph, StaggeredSleeper(), Model.DET, backend=backend,
-            node_inputs=inputs, trace=True, observers=[rec],
+            node_inputs=inputs, observers=[rec],
         )
-        expected = [RoundTrace(active=8, awake=4, halted=4)]
-        expected += [
-            RoundTrace(active=4, awake=0, halted=0) for _ in range(4)
+        active = {e[1]: e[2] for e in rec.events if e[0] == "round_start"}
+        activity = [
+            (active[e[1]], e[2], e[3])
+            for e in rec.events
+            if e[0] == "round_end"
         ]
-        expected.append(RoundTrace(active=4, awake=4, halted=4))
-        assert result.trace == expected
+        assert activity == [(8, 4, 4)] + [(4, 0, 0)] * 4 + [(4, 4, 4)]
 
-        # The synthesized observer events for the skipped span mirror
-        # the trace: parked vertices counted active, nothing stepping.
+        # The skipped span: parked vertices counted active, nothing
+        # stepping.
         m = 2 * graph.num_edges
         for r in range(1, 5):
             assert ("round_start", r, 4) in rec.events
@@ -318,7 +316,7 @@ class TestSyntheticEquivalence:
             with pytest.raises(BudgetExceededError) as exc:
                 run(
                     graph, StaggeredSleeper(), Model.DET,
-                    node_inputs=inputs, trace=True, observers=[rec],
+                    node_inputs=inputs, observers=[rec],
                     fault_plan=FaultPlan(round_budget=3), **kwargs
                 )
             assert exc.value.round == 3
@@ -460,7 +458,7 @@ _REFERENCE_REPORTS = {}
 
 def _reference_report(name):
     if name not in _REFERENCE_REPORTS:
-        with use_reference_engine():
+        with use_backend("reference"):
             _REFERENCE_REPORTS[name] = DRIVERS[name]()
     return _REFERENCE_REPORTS[name]
 
@@ -481,7 +479,7 @@ def test_mpx_decomposition_matches_reference_engine(backend):
     graph = random_regular_graph(64, 4, random.Random(9))
     with use_backend(backend):
         candidate = mpx_decomposition(graph, beta=0.4, seed=6)
-    with use_reference_engine():
+    with use_backend("reference"):
         reference = mpx_decomposition(graph, beta=0.4, seed=6)
     assert candidate.assignment == reference.assignment
     assert candidate.distances == reference.distances
@@ -489,7 +487,7 @@ def test_mpx_decomposition_matches_reference_engine(backend):
 
 
 # ----------------------------------------------------------------------
-# The sharded round loop proper (observer-free, so no fallback)
+# The sharded round loop at other shard counts
 # ----------------------------------------------------------------------
 requires_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -500,26 +498,18 @@ requires_fork = pytest.mark.skipif(
 @requires_fork
 @pytest.mark.parametrize("count", [1, 3])
 class TestShardedSyntheticEquivalence:
-    """The synthetic path-coverage algorithms again, but on the
-    sharded backend's *native* round loop: no observers are attached
-    (a scalar observer would trigger its documented fallback to the
-    fast engine), and full RunResult equality against the reference
-    engine is asserted at a degenerate and a boundary-heavy shard
-    count."""
+    """The synthetic path-coverage algorithms again, on the sharded
+    backend at a degenerate and a boundary-heavy shard count: full
+    RunResult and event-stream equality against the reference
+    engine."""
 
     def run_sharded(self, graph, factory, model, count, **kwargs):
         from repro.backends.sharded import use_shards
 
         with use_shards(count):
-            candidate = run_local(
-                graph, factory(), model, trace=True,
-                backend="sharded", **kwargs
+            return run_both(
+                graph, factory, model, backend="sharded", **kwargs
             )
-        reference = run_local_reference(
-            graph, factory(), model, trace=True, **kwargs
-        )
-        assert_results_identical(candidate, reference)
-        return candidate
 
     def test_staggered_sleep_with_bulk_skips(self, count):
         graph = cycle_graph(60)
@@ -628,15 +618,3 @@ class TestFaultedEquivalence:
                 lambda n, rng: cycle_graph(max(3, n)), 30, seed
             )
             assert relation.check(subject, instance) is None
-
-
-def test_use_reference_engine_restores_fast_engine():
-    from repro.core import current_backend_name
-
-    assert current_backend_name() == "fast"
-    with use_reference_engine():
-        assert current_backend_name() == "reference"
-        with use_reference_engine():
-            assert current_backend_name() == "reference"
-        assert current_backend_name() == "reference"
-    assert current_backend_name() == "fast"

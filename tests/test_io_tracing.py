@@ -1,9 +1,10 @@
-"""Tests for graph serialization and engine tracing."""
+"""Tests for graph serialization and per-round engine activity."""
 
 import pytest
 
 from repro.algorithms import LubyMIS, MISFromColoring
 from repro.core import Model, run_local
+from repro.obs import RunObserver
 from repro.graphs import Graph, is_proper_edge_coloring
 from repro.graphs.generators import (
     cycle_graph,
@@ -64,19 +65,47 @@ class TestSerialization:
             graph_from_dict({"format": "something-else"})
 
 
+class ActivityLog(RunObserver):
+    """Per-round ``(round, active, awake, halted)`` counts, read from
+    the round batches (the setup batch included, as round -1)."""
+
+    def __init__(self):
+        self.rows = []
+
+    def on_round_batch(self, batch):
+        self.rows.append(
+            (batch.round_index, batch.active, batch.awake, batch.halted)
+        )
+
+
+def run_with_activity(*args, **kwargs):
+    """``run_local`` plus the run's per-round activity rows."""
+    log = ActivityLog()
+    result = run_local(*args, observers=[log], **kwargs)
+    return result, log.rows
+
+
+def _rounds(rows):
+    """The communication rounds' rows, without the setup batch."""
+    return [row for row in rows if row[0] >= 0]
+
+
 class TestTracing:
     def test_trace_disabled_by_default(self, ring):
+        """Without observers a run records no per-round activity: the
+        result holds exactly the paper's totals."""
         result = run_local(ring, LubyMIS(), Model.RAND, seed=0)
-        assert result.trace == []
-        assert result.work() == 0
+        assert list(vars(result)) == [
+            "outputs", "rounds", "messages", "failures"
+        ]
 
     def test_trace_length_is_rounds(self, ring):
-        result = run_local(ring, LubyMIS(), Model.RAND, seed=0, trace=True)
-        assert len(result.trace) == result.rounds
+        result, rows = run_with_activity(ring, LubyMIS(), Model.RAND, seed=0)
+        assert [r for r, *_ in _rounds(rows)] == list(range(result.rounds))
 
     def test_active_counts_monotone(self, ring):
-        result = run_local(ring, LubyMIS(), Model.RAND, seed=0, trace=True)
-        actives = [t.active for t in result.trace]
+        _, rows = run_with_activity(ring, LubyMIS(), Model.RAND, seed=0)
+        actives = [active for _, active, _, _ in _rounds(rows)]
         assert all(a >= b for a, b in zip(actives, actives[1:]))
         assert actives[0] == ring.num_vertices
 
@@ -85,17 +114,16 @@ class TestTracing:
         # round: awake counts per round = size of that color class.
         g = cycle_graph(9)
         colors = [v % 3 for v in range(9)]
-        result = run_local(
+        _, rows = run_with_activity(
             g,
             MISFromColoring(),
             Model.DET,
             node_inputs=[{"color": c} for c in colors],
             global_params={"palette": 3},
-            trace=True,
         )
-        assert result.activity_profile() == [3, 3, 3]
-        assert result.work() == 9
+        assert [awake for _, _, awake, _ in _rounds(rows)] == [3, 3, 3]
 
     def test_halted_sum_matches(self, ring):
-        result = run_local(ring, LubyMIS(), Model.RAND, seed=0, trace=True)
-        assert sum(t.halted for t in result.trace) == ring.num_vertices
+        _, rows = run_with_activity(ring, LubyMIS(), Model.RAND, seed=0)
+        halted = sum(h for _, _, _, h in _rounds(rows))
+        assert halted == ring.num_vertices

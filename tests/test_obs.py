@@ -190,16 +190,13 @@ class TestEventStream:
         graph = cycle_graph(24)
         inputs = [{"wake": v % 9} for v in range(24)]
         plain = run_local(
-            graph, SleepyHalter(), Model.DET,
-            node_inputs=inputs, trace=True,
+            graph, SleepyHalter(), Model.DET, node_inputs=inputs,
         )
         _, observed = record_events(
             run_local, graph, SleepyHalter(), Model.DET,
-            node_inputs=inputs, trace=True,
+            node_inputs=inputs,
         )
-        assert plain.outputs == observed.outputs
-        assert plain.trace == observed.trace
-        assert plain.messages == observed.messages
+        assert plain == observed
 
     def test_observe_runs_is_ambient_and_restores(self):
         rec = Recorder()
@@ -269,10 +266,7 @@ class TestMetrics:
     def test_observer_counts_match_run(self):
         graph = cycle_graph(20)
         obs = MetricsObserver()
-        result = run_local(
-            graph, TwoRound(), Model.DET,
-            observers=[obs], trace=True,
-        )
+        result = run_local(graph, TwoRound(), Model.DET, observers=[obs])
         metrics = obs.summary()["metrics"]
         assert metrics["rounds_total"]["value"] == result.rounds
         assert metrics["messages_total"]["value"] == result.messages

@@ -32,7 +32,6 @@ from repro.backends.sharded import (
     RANDOM,
     SHARDS_ENV_VAR,
     WorkerCrashError,
-    active_worker_pids,
     boundary_edges,
     current_shard_config,
     partition_graph,
@@ -457,9 +456,13 @@ class _KillOneWorker(RunObserver):
             return
         self.seen += 1
         if self.kill_after is not None and self.seen == self.kill_after:
-            pids = active_worker_pids()
-            assert pids, "no live shard workers to kill"
-            self.killed = pids[-1]
+            workers = [
+                proc
+                for proc in multiprocessing.active_children()
+                if proc.name.startswith("repro-shard-")
+            ]
+            assert workers, "no live shard workers to kill"
+            self.killed = max(workers, key=lambda proc: proc.name).pid
             os.kill(self.killed, signal.SIGKILL)
 
 

@@ -1,5 +1,5 @@
 """Supervised execution: heartbeat watchdog, deadline, bounded
-retries, and the RSS degradation ladder.
+retries, and the RSS ceiling.
 
 These tests fork real child processes through
 :func:`repro.supervise.supervise_run` and exercise genuine
@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import observe_runs
 from repro.supervise import RunOutcome, SupervisorEvent, supervise_run
-from repro.supervise import DEGRADED_WORD_CAP, _rss_kb
+from repro.supervise import _rss_kb
 from tests.test_checkpoint import KillSwitch, run_noisy
 
 
@@ -158,38 +158,44 @@ def test_deadline_bounds_all_attempts(tmp_path):
     assert "deadline" in [e.kind for e in outcome.events]
 
 
-def test_rss_ceiling_walks_the_degradation_ladder(tmp_path):
-    """Three RSS kills: stage 1 shrinks the vector buffers, stage 2
-    falls back to the scalar backend and discards the (now foreign-
-    format) snapshots, then the attempts run out."""
+def test_rss_kill_is_an_ordinary_loud_failure(tmp_path, monkeypatch):
+    """Every RSS kill consumes a retry and the retry runs with
+    unchanged settings: no degradation, no discarded snapshots, no
+    environment overrides in the child.  The final error names the
+    ceiling."""
     base = _rss_kb(os.getpid())
     if base is None:
         pytest.skip("no /proc RSS readings on this platform")
     ceiling = base + 150_000  # the 400 MiB ballast sails past this
+    for name in list(os.environ):
+        if name.startswith("REPRO_"):
+            monkeypatch.delenv(name)
+    seen = tmp_path / "child-env.jsonl"
 
     def target():
+        with open(seen, "a") as fh:
+            names = sorted(k for k in os.environ if k.startswith("REPRO_"))
+            fh.write(json.dumps(names) + "\n")
         ballast = bytearray(400 * 1024 * 1024)
         time.sleep(60)
         return len(ballast)
 
+    retries = 2
     outcome = supervise_run(
         target,
         checkpoint_dir=str(tmp_path / "ck"),
-        retries=2,
+        retries=retries,
         backoff=0.01,
         max_rss_kb=ceiling,
     )
     assert not outcome.ok
-    assert "over ceiling" in outcome.error
+    assert str(ceiling) in outcome.error
     kinds = [e.kind for e in outcome.events]
-    assert kinds.count("rss_kill") == 3
-    stages = [
-        e.detail["stage"] for e in outcome.events if e.kind == "degrade"
-    ]
-    assert stages == [1, 2]
-    assert "checkpoint_discarded" in kinds
-    assert outcome.env["REPRO_VECTOR_WORD_CAP"] == str(DEGRADED_WORD_CAP)
-    assert outcome.env["REPRO_BACKEND"] == "fast"
+    assert kinds.count("rss_kill") == retries + 1
+    assert "degrade" not in kinds
+    assert "checkpoint_discarded" not in kinds
+    attempts = [json.loads(line) for line in seen.read_text().splitlines()]
+    assert attempts == [[]] * (retries + 1)
 
 
 def test_event_and_outcome_dict_shapes():
@@ -199,7 +205,7 @@ def test_event_and_outcome_dict_shapes():
     data = event.to_dict()
     assert data == {"kind": "start", "attempt": 0, "t": 0.123457, "pid": 1}
     outcome = RunOutcome(
-        ok=True, result=5, error=None, attempts=1, events=[event], env={}
+        ok=True, result=5, error=None, attempts=1, events=[event]
     )
     data = outcome.to_dict()
     assert data["ok"] and data["attempts"] == 1
