@@ -107,8 +107,6 @@ class ColorBiddingKernel(RoundKernel):
     competitor keeps publishing its frozen message.
     """
 
-    handles_crashes = True
-
     def __init__(self, run: VectorRun, algorithm: SyncAlgorithm) -> None:
         super().__init__(run, algorithm)
         config = run.globals["config"]
@@ -334,8 +332,6 @@ class _LinialKernelBase(RoundKernel):
     ``AssertionError``, per scalar vertex order).
     """
 
-    handles_crashes = True
-
     def _degree_param(self, run: VectorRun) -> int:
         raise NotImplementedError
 
@@ -515,8 +511,6 @@ class PeelingKernel(RoundKernel):
     so a crashed vertex stays frozen at its last published activity.
     """
 
-    handles_crashes = True
-
     def __init__(self, run: VectorRun, algorithm: SyncAlgorithm) -> None:
         super().__init__(run, algorithm)
         self.threshold = run.globals["threshold"]
@@ -566,8 +560,6 @@ class LayerSweepKernel(RoundKernel):
     vertex crashed at its wake round keeps its pre-final publish,
     which neighbors ignore exactly as the scalar path does.
     """
-
-    handles_crashes = True
 
     def __init__(self, run: VectorRun, algorithm: SyncAlgorithm) -> None:
         super().__init__(run, algorithm)

@@ -34,11 +34,10 @@ vectorized execution could not be bit-identical or is impossible:
 
 - no kernel is registered for the algorithm's type;
 - the active fault plan touches messages (drop/duplicate/corrupt need
-  materialized per-port inboxes) — round budgets stay on the
-  vectorized path, and so do crash-stop faults when the kernel
-  declares :attr:`RoundKernel.handles_crashes` (all shipped kernels
-  do: their published-state arrays are scattered only for ``awake``
-  vertices, so a crashed vertex's last published value stays frozen);
+  materialized per-port inboxes) — round budgets and crash-stop
+  faults stay on the vectorized path (the :class:`RoundKernel`
+  contract scatters published state only for ``awake`` vertices, so a
+  crashed vertex's last published value stays frozen);
 - the kernel's ``supports()`` veto — unusual configurations (oversized
   palettes, missing inputs) where the scalar path is the spec.
 
@@ -348,18 +347,12 @@ class RoundKernel:
       published state only (gather before scatter — the vectorized
       double buffering).
 
-    A kernel that opts into :attr:`handles_crashes` additionally
-    guarantees crash-stop fidelity: published state it gathers from
-    must be scattered only for vertices in ``awake``, so a crashed
-    vertex's last published value stays frozen exactly as in the
-    scalar engines (which simply stop stepping it).  Kernels that keep
-    the default ``False`` make the backend fall back to the per-node
-    engine whenever the active plan crashes anybody.
+    A kernel must also keep crash-stop fidelity: published state it
+    gathers from is scattered only for vertices in ``awake``, so a
+    crashed vertex's last published value stays frozen exactly as in
+    the scalar engines (which simply stop stepping it).  Crash-stop
+    plans therefore never force a fallback.
     """
-
-    #: Whether this kernel freezes non-awake published state correctly
-    #: under crash-stop fault plans (see class docstring).
-    handles_crashes = False
 
     def __init__(self, run: VectorRun, algorithm: SyncAlgorithm) -> None:
         self.run = run
@@ -709,13 +702,6 @@ def run_local_vectorized(
         kernel_cls is not None
         # Message perturbation happens per materialized inbox slot.
         and not (faults is not None and faults.touches_messages)
-        # Crash-stop freezes published state; only kernels declaring
-        # that guarantee (scatter restricted to ``awake``) may run it.
-        and not (
-            faults is not None
-            and faults.crashes
-            and not kernel_cls.handles_crashes
-        )
     ):
         try:
             run = VectorRun(

@@ -10,11 +10,12 @@ and benchmarks make.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import random
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 from .algorithms import (
     barenboim_elkin_coloring,
@@ -212,89 +213,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _traced_workload(args: argparse.Namespace, observer) -> None:
-    """Run the chosen demo workload with ``observer`` attached to
-    every run_local call it makes."""
-    from .core import observe_runs
-
-    rng = random.Random(args.seed)
-    with observe_runs(observer):
-        if args.workload == "coloring":
-            tree = random_tree_bounded_degree(args.n, args.delta, rng)
-            _rand_delta_coloring(tree, tree.max_degree, args.seed)
-        else:
-            g = random_regular_graph(args.n, args.delta, rng)
-            luby_mis(g, seed=args.seed)
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .core.engine import observe_runs
-    from .obs import JsonlTraceObserver
-
-    if getattr(args, "trace_command", None) == "query":
-        return cmd_trace_query(args)
-    if args.output is None:
-        print(
-            "repro trace: --output PATH is required in record mode "
-            "(or use 'repro trace query' to analyze an existing trace)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.n < 2 or args.delta < 2:
-        print(
-            f"repro trace: need n >= 2 and delta >= 2, got "
-            f"n={args.n} delta={args.delta}",
-            file=sys.stderr,
-        )
-        return 2
-    Path(args.output).parent.mkdir(parents=True, exist_ok=True)
-    observer = JsonlTraceObserver(
-        args.output,
-        payload_values=args.values,
-        topology=not args.no_topology,
-        node_steps=args.steps,
-    )
-    # Plane-2 sidecars ride along without touching the deterministic
-    # trace bytes: timing goes to its own JSONL, progress to stderr.
-    sidecars = []
-    if args.timing_sidecar:
-        from .obs import TimingSidecarObserver
-
-        Path(args.timing_sidecar).parent.mkdir(
-            parents=True, exist_ok=True
-        )
-        sidecars.append(TimingSidecarObserver(args.timing_sidecar))
-    if args.progress:
-        from .obs import ProgressReporter
-
-        sidecars.append(ProgressReporter(label="trace"))
-    try:
-        with observe_runs(*sidecars) if sidecars else _null_context():
-            _traced_workload(args, observer)
-    finally:
-        observer.close()
-        for sidecar in sidecars:
-            if hasattr(sidecar, "close"):
-                sidecar.close()
-    print(
-        f"trace written: {args.output} "
-        f"({observer.events_written} events, workload={args.workload}, "
-        f"n={args.n}, delta={args.delta}, seed={args.seed})"
-    )
-    if args.timing_sidecar:
-        print(f"timing sidecar written: {args.timing_sidecar}")
-    return 0
-
-
-def _null_context():
-    import contextlib
-
-    return contextlib.nullcontext()
-
-
-def cmd_trace_query(args: argparse.Namespace) -> int:
     import json as _json
 
     from .obs import iter_trace
@@ -407,115 +326,168 @@ def cmd_trace_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    import tempfile
-    from pathlib import Path
+def _supervised(args: argparse.Namespace) -> bool:
+    return (
+        args.retries > 0
+        or args.deadline is not None
+        or args.watchdog is not None
+        or args.max_rss is not None
+    )
 
-    from .obs import profile_trace, render_profile_report
 
-    if args.trace is not None:
-        trace_path = args.trace
-        if not Path(trace_path).exists():
-            print(
-                f"repro profile: trace does not exist: {trace_path}",
-                file=sys.stderr,
-            )
-            return 2
-        cleanup = False
-    else:
-        # Driver mode: the Theorem 10 randomized Δ-coloring run whose
-        # Phase 1 the profiler measures (BAD = unresolved sentinel).
-        if args.delta < 9:
-            print(
-                "repro profile: driver mode needs --delta >= 9 "
-                "(Theorem 10's color-bidding phase); "
-                "use --trace to profile any recorded run",
-                file=sys.stderr,
-            )
-            return 2
-        if args.n < 2:
-            print(
-                f"repro profile: need n >= 2, got n={args.n}",
-                file=sys.stderr,
-            )
-            return 2
-        from .obs import JsonlTraceObserver
+def _check_run_flags(args: argparse.Namespace) -> Optional[str]:
+    """The one check of the workload flags ``run`` and ``profile``'s
+    driver mode share: the usage error, or None.
 
-        if args.keep_trace:
-            trace_path = args.keep_trace
-            Path(trace_path).parent.mkdir(parents=True, exist_ok=True)
-            cleanup = False
-        else:
-            fd, trace_path = tempfile.mkstemp(
-                prefix="repro-profile-", suffix=".jsonl"
-            )
-            import os
-
-            os.close(fd)
-            cleanup = True
-        observer = JsonlTraceObserver(
-            trace_path, resume=bool(args.resume)
+    On success a fresh run also empties its timing sidecar here, once;
+    every writer after that (the run, a supervised child, the
+    supervising parent) appends, so a resumed run keeps the rows of
+    the attempt it continues.
+    """
+    if args.n < 2 or args.delta < 2:
+        return (
+            f"need n >= 2 and delta >= 2, got "
+            f"n={args.n} delta={args.delta}"
         )
-        sidecars = []
-        if args.progress:
-            from .obs import ProgressReporter
+    if args.resume and not args.checkpoint_dir:
+        return "--resume needs --checkpoint-dir"
+    if args.command == "profile":
+        if args.delta < 9:
+            return (
+                "driver mode needs --delta >= 9 (Theorem 10's "
+                "color-bidding phase); use --trace to profile any "
+                "recorded run"
+            )
+        if args.checkpoint_dir and not args.keep_trace:
+            return (
+                "driver mode's --checkpoint-dir needs --keep-trace: "
+                "snapshots point into the trace bytes, which must "
+                "outlive the process"
+            )
+    elif _supervised(args) and not args.checkpoint_dir:
+        return (
+            "supervision flags (--retries/--deadline/--watchdog/"
+            "--max-rss) need --checkpoint-dir"
+        )
+    if args.timing_sidecar:
+        Path(args.timing_sidecar).parent.mkdir(parents=True, exist_ok=True)
+        if not args.resume:
+            open(args.timing_sidecar, "w", encoding="utf-8").close()
+    return None
 
-            sidecars.append(ProgressReporter(label="profile"))
+
+def _run_workload(
+    args: argparse.Namespace,
+    build: Callable[..., Any],
+    solve: Callable[..., Any],
+    *,
+    trace: Optional[str] = None,
+    supervised: bool = False,
+    **trace_format: bool,
+) -> Any:
+    """Build ``args``' graph and return ``solve(graph, seed=...)``,
+    run under the per-run observers — the JSONL trace at ``trace``
+    (``trace_format`` goes to :class:`~repro.obs.JsonlTraceObserver`),
+    the timing sidecar, the progress line — and the checkpoint scope.
+
+    A supervised child takes its checkpoint scope from the supervisor,
+    and every attempt resumes its trace.  The observers are created
+    here so whichever process runs the workload owns them — a forked
+    file handle shared with the parent would interleave writes.
+    """
+    from .core import observe_runs
+    from .core.checkpoint import checkpointing
+    from .obs import (
+        JsonlTraceObserver,
+        ProgressReporter,
+        TimingSidecarObserver,
+    )
+
+    with contextlib.ExitStack() as stack:
+        observers: List[Any] = []
+        if trace is not None:
+            Path(trace).parent.mkdir(parents=True, exist_ok=True)
+            observers.append(
+                stack.enter_context(
+                    JsonlTraceObserver(
+                        trace,
+                        resume=args.resume or supervised,
+                        **trace_format,
+                    )
+                )
+            )
         if args.timing_sidecar:
-            from .obs import TimingSidecarObserver
-
-            Path(args.timing_sidecar).parent.mkdir(
-                parents=True, exist_ok=True
+            stream = stack.enter_context(
+                open(args.timing_sidecar, "a", encoding="utf-8")
             )
-            sidecars.append(
-                TimingSidecarObserver(args.timing_sidecar)
+            observers.append(
+                stack.enter_context(TimingSidecarObserver(stream))
             )
-        try:
-            import contextlib
-
-            from .core import observe_runs
-
-            scope = contextlib.nullcontext()
-            if args.checkpoint_dir:
-                from .core.checkpoint import checkpointing
-
-                scope = checkpointing(
+        if args.progress:
+            observers.append(ProgressReporter(label=args.command))
+        if args.checkpoint_dir and not supervised:
+            stack.enter_context(
+                checkpointing(
                     args.checkpoint_dir,
                     every_rounds=args.checkpoint_every,
                     resume=args.resume,
                 )
-            tree = random_tree_bounded_degree(
-                args.n, args.delta, random.Random(args.seed)
             )
-            with scope, observe_runs(observer, *sidecars):
-                pettie_su_tree_coloring(tree, seed=args.seed)
-        finally:
-            observer.close()
-            for sidecar in sidecars:
-                if hasattr(sidecar, "close"):
-                    sidecar.close()
-    try:
-        from .algorithms.rand_tree_coloring import BAD
+        graph = build(args.n, args.delta, random.Random(args.seed))
+        with observe_runs(*observers):
+            return solve(graph, seed=args.seed)
 
-        unresolved = BAD if args.trace is None else args.unresolved
-        profile = profile_trace(
-            trace_path,
-            run=args.run,
-            threshold=args.threshold,
-            **(
-                {"unresolved": unresolved}
-                if unresolved is not None
-                else {}
-            ),
-        )
-    except ValueError as exc:
-        print(f"repro profile: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if cleanup:
-            import os
 
-            os.unlink(trace_path)
+def cmd_profile(args: argparse.Namespace) -> int:
+    import tempfile
+
+    from .algorithms.rand_tree_coloring import BAD
+    from .obs import profile_trace, render_profile_report
+
+    with contextlib.ExitStack() as stack:
+        if args.trace is not None:
+            trace_path, unresolved = args.trace, args.unresolved
+            if not Path(trace_path).exists():
+                print(
+                    f"repro profile: trace does not exist: {trace_path}",
+                    file=sys.stderr,
+                )
+                return 2
+        else:
+            error = _check_run_flags(args)
+            if error is not None:
+                print(f"repro profile: {error}", file=sys.stderr)
+                return 2
+            trace_path = args.keep_trace or os.path.join(
+                stack.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-profile-")
+                ),
+                "trace.jsonl",
+            )
+            # Driver mode: the Theorem 10 randomized Δ-coloring run
+            # whose Phase 1 the profiler measures (BAD = unresolved
+            # sentinel).
+            _run_workload(
+                args,
+                random_tree_bounded_degree,
+                pettie_su_tree_coloring,
+                trace=trace_path,
+            )
+            unresolved = BAD
+        try:
+            profile = profile_trace(
+                trace_path,
+                run=args.run,
+                threshold=args.threshold,
+                **(
+                    {"unresolved": unresolved}
+                    if unresolved is not None
+                    else {}
+                ),
+            )
+        except ValueError as exc:
+            print(f"repro profile: {exc}", file=sys.stderr)
+            return 2
     report = render_profile_report(profile)
     print(report)
     if args.output:
@@ -610,6 +582,18 @@ def _warn_skipped_cells(record) -> None:
             )
 
 
+#: ``repro run --workload``: the graph family and the driver run on it.
+_WORKLOADS = {
+    "coloring": (
+        random_tree_bounded_degree,
+        lambda tree, seed: _rand_delta_coloring(
+            tree, tree.max_degree, seed
+        ),
+    ),
+    "mis": (random_regular_graph, luby_mis),
+}
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     """One checkpointed workload run, optionally supervised.
 
@@ -624,93 +608,25 @@ def cmd_run(args: argparse.Namespace) -> int:
       retrying from the newest snapshot after a crash, a hang or an
       RSS-ceiling kill.
     """
-    import contextlib
     import json as _json
-    import os
 
-    if args.n < 2 or args.delta < 2:
-        print(
-            f"repro run: need n >= 2 and delta >= 2, got "
-            f"n={args.n} delta={args.delta}",
-            file=sys.stderr,
-        )
+    error = _check_run_flags(args)
+    if error is not None:
+        print(f"repro run: {error}", file=sys.stderr)
         return 2
-    supervised = (
-        args.retries > 0
-        or args.deadline is not None
-        or args.watchdog is not None
-        or args.max_rss is not None
-    )
-    if supervised and not args.checkpoint_dir:
-        print(
-            "repro run: supervision flags (--retries/--deadline/"
-            "--watchdog/--max-rss) need --checkpoint-dir",
-            file=sys.stderr,
-        )
-        return 2
-    if args.resume and not args.checkpoint_dir:
-        print(
-            "repro run: --resume needs --checkpoint-dir",
-            file=sys.stderr,
-        )
-        return 2
-    # Under supervision every retry is a resume, so the trace sink
-    # must never self-truncate; the checkpoint scope's rewind decides
-    # whether the prior bytes survive.
-    trace_resume = supervised or args.resume
+    supervised = _supervised(args)
 
     def execute() -> dict:
-        """The workload plus its observers; runs in-process or inside
-        the supervised child.  Observers are created *here* so the
-        child owns them — a forked file handle shared with the parent
-        would interleave writes."""
-        from .core import observe_runs
-
-        observers = []
-        if args.trace:
-            from .obs import JsonlTraceObserver
-
-            Path(args.trace).parent.mkdir(parents=True, exist_ok=True)
-            observers.append(
-                JsonlTraceObserver(args.trace, resume=trace_resume)
-            )
-        if args.timing_sidecar:
-            from .obs import TimingSidecarObserver
-
-            # Append mode: the supervising parent writes supervisor_*
-            # rows to the same sidecar, and each retry keeps the dead
-            # attempt's rows (plane-2 is never rewound).
-            observers.append(
-                TimingSidecarObserver(
-                    open(args.timing_sidecar, "a", encoding="utf-8")
-                )
-            )
-        if args.progress:
-            from .obs import ProgressReporter
-
-            observers.append(ProgressReporter(label="run"))
-        try:
-            rng = random.Random(args.seed)
-            attach = (
-                observe_runs(*observers)
-                if observers
-                else contextlib.nullcontext()
-            )
-            with attach:
-                if args.workload == "coloring":
-                    tree = random_tree_bounded_degree(
-                        args.n, args.delta, rng
-                    )
-                    report = _rand_delta_coloring(
-                        tree, tree.max_degree, args.seed
-                    )
-                else:
-                    g = random_regular_graph(args.n, args.delta, rng)
-                    report = luby_mis(g, seed=args.seed)
-        finally:
-            for obs in observers:
-                if hasattr(obs, "close"):
-                    obs.close()
+        """Runs in-process or inside the supervised child."""
+        report = _run_workload(
+            args,
+            *_WORKLOADS[args.workload],
+            trace=args.trace,
+            supervised=supervised,
+            payload_values=args.values,
+            topology=not args.no_topology,
+            node_steps=args.steps,
+        )
         # A summary, not the report: the labeling is n entries and a
         # supervised child ships this value up a pipe.
         return {
@@ -722,29 +638,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             "breakdown": report.breakdown,
         }
 
-    if args.timing_sidecar:
-        Path(args.timing_sidecar).parent.mkdir(
-            parents=True, exist_ok=True
-        )
-        if not args.resume and os.path.exists(args.timing_sidecar):
-            # One truncation up front; everyone appends after this.
-            open(args.timing_sidecar, "w", encoding="utf-8").close()
-
     if not supervised:
-        scope = contextlib.nullcontext()
-        if args.checkpoint_dir:
-            from .core.checkpoint import checkpointing
-
-            scope = checkpointing(
-                args.checkpoint_dir,
-                every_rounds=args.checkpoint_every,
-                resume=args.resume,
-            )
-        with scope:
-            summary = execute()
-        print(_json.dumps(summary, sort_keys=True))
+        print(_json.dumps(execute(), sort_keys=True))
         return 0
 
+    from .obs import TimingSidecarObserver
     from .supervise import supervise_run
 
     Path(args.checkpoint_dir).mkdir(parents=True, exist_ok=True)
@@ -755,16 +653,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         for name in sorted(os.listdir(args.checkpoint_dir)):
             if name.endswith((".ckpt", ".done")):
                 os.unlink(os.path.join(args.checkpoint_dir, name))
-    sidecar = None
-    sidecar_stream = None
-    if args.timing_sidecar:
-        from .obs import TimingSidecarObserver
-
-        sidecar_stream = open(
-            args.timing_sidecar, "a", encoding="utf-8"
-        )
-        sidecar = TimingSidecarObserver(sidecar_stream)
-    try:
+    with contextlib.ExitStack() as stack:
+        sidecar = None
+        if args.timing_sidecar:
+            stream = stack.enter_context(
+                open(args.timing_sidecar, "a", encoding="utf-8")
+            )
+            sidecar = stack.enter_context(TimingSidecarObserver(stream))
         outcome = supervise_run(
             execute,
             checkpoint_dir=args.checkpoint_dir,
@@ -779,11 +674,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             ),
             sidecar=sidecar,
         )
-    finally:
-        if sidecar is not None:
-            sidecar.close()
-        if sidecar_stream is not None:
-            sidecar_stream.close()
     if args.audit:
         from .core.atomicio import atomic_write_text
 
@@ -862,44 +752,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _changed_python_files(ref: str) -> Optional[set]:
-    """Absolute paths of ``.py`` files changed since ``ref`` (committed,
-    staged, or unstaged) plus untracked ones; None when git fails."""
-    import subprocess
-
-    changed: set = set()
-    commands = (
-        ["git", "diff", "--name-only", ref, "--", "*.py"],
-        [
-            "git",
-            "ls-files",
-            "--others",
-            "--exclude-standard",
-            "--",
-            "*.py",
-        ],
-    )
-    for command in commands:
-        try:
-            proc = subprocess.run(
-                command,
-                capture_output=True,
-                text=True,
-                check=True,
-            )
-        except (OSError, subprocess.CalledProcessError) as exc:
-            detail = getattr(exc, "stderr", "") or str(exc)
-            print(
-                f"repro lint: --changed-from failed: {detail.strip()}",
-                file=sys.stderr,
-            )
-            return None
-        for line in proc.stdout.splitlines():
-            if line.strip():
-                changed.add(Path(line.strip()).resolve())
-    return changed
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     from .staticcheck import analyze_paths, default_target
 
@@ -942,19 +794,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
             )
             return 2
         apply_baseline(result, entries, Path(args.baseline), base_dir)
-    if args.changed_from:
-        changed = _changed_python_files(args.changed_from)
-        if changed is None:
-            return 2
-        # The whole corpus is still analyzed (call-graph context), but
-        # only findings in changed files gate this run.  Stale-baseline
-        # findings always surface — they point at the baseline file.
-        result.diagnostics = [
-            d
-            for d in result.diagnostics
-            if d.rule_id == "BASELINE"
-            or Path(d.path).resolve() in changed
-        ]
     if args.format == "json":
         print(result.to_json())
     elif args.format == "sarif":
@@ -1004,6 +843,43 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker count for '--backend sharded' (exported as "
         "REPRO_SHARDS so spawned children inherit it; default: the "
         "env var, else 2)",
+    )
+    # The workload flags ``run`` and ``profile``'s driver mode share,
+    # checked once by _check_run_flags.
+    workload = argparse.ArgumentParser(add_help=False)
+    workload.add_argument("--n", type=int, default=10_000)
+    workload.add_argument("--delta", type=int, default=9)
+    workload.add_argument("--seed", type=int, default=1)
+    workload.add_argument(
+        "--timing-sidecar",
+        metavar="PATH",
+        help="write the plane-2 timing/resource JSONL sidecar here "
+        "(a resumed run appends to it; a supervised run's lifecycle "
+        "rows land here too)",
+    )
+    workload.add_argument(
+        "--progress",
+        action="store_true",
+        help="render live round progress on stderr",
+    )
+    workload.add_argument(
+        "--checkpoint-dir",
+        metavar="DIR",
+        help="write round-boundary engine snapshots here",
+    )
+    workload.add_argument(
+        "--checkpoint-every",
+        type=int,
+        default=256,
+        metavar="ROUNDS",
+        help="snapshot cadence in rounds (default: 256)",
+    )
+    workload.add_argument(
+        "--resume",
+        action="store_true",
+        help="resume from the newest snapshot in --checkpoint-dir; "
+        "the continued run (and its trace bytes) is identical to an "
+        "uninterrupted one",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -1099,56 +975,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "trace",
         help=(
-            "record a demo workload's JSONL event stream, or query "
-            "an existing trace ('repro trace query ...')"
+            "query recorded JSONL traces ('repro trace query ...'); "
+            "'repro run --trace PATH' records one"
         ),
     )
-    p.add_argument(
-        "--workload",
-        choices=("coloring", "mis"),
-        default="coloring",
-        help="coloring = randomized Δ-coloring driver (Theorem 10), "
-        "mis = Luby's MIS (default: coloring)",
-    )
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--delta", type=int, default=9)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument(
-        "--output",
-        metavar="PATH",
-        help="JSONL file to write (overwritten); required in record "
-        "mode",
-    )
-    p.add_argument(
-        "--values",
-        action="store_true",
-        help="include published payload values on publish events",
-    )
-    p.add_argument(
-        "--no-topology",
-        action="store_true",
-        help="omit the edge list from run_start events (smaller "
-        "traces; disables component profiling)",
-    )
-    p.add_argument(
-        "--steps",
-        action="store_true",
-        help="emit one event per vertex step (large traces)",
-    )
-    p.add_argument(
-        "--timing-sidecar",
-        metavar="PATH",
-        help="also write the plane-2 timing/resource JSONL sidecar "
-        "here (wall clock, RSS, backend attribution — excluded from "
-        "the deterministic byte-identity contract)",
-    )
-    p.add_argument(
-        "--progress",
-        action="store_true",
-        help="render live round progress on stderr while recording",
-    )
-    p.set_defaults(func=cmd_trace, trace_command=None)
-    trace_sub = p.add_subparsers(dest="trace_command")
+    trace_sub = p.add_subparsers(dest="trace_command", required=True)
     q = trace_sub.add_parser(
         "query",
         help=(
@@ -1206,10 +1037,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the query result here instead of stdout",
     )
-    q.set_defaults(func=cmd_trace, trace_command="query")
+    q.set_defaults(func=cmd_trace)
 
     p = sub.add_parser(
         "profile",
+        parents=[workload],
         help=(
             "shattering profiler: halt-fraction curve F(t) and "
             "surviving-component sizes vs Theorem 3's predictions "
@@ -1236,9 +1068,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="halt output marking an abandoned vertex (trace mode "
         "only; driver mode always uses the BAD sentinel)",
     )
-    p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--delta", type=int, default=9)
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument(
         "--threshold",
         type=float,
@@ -1255,36 +1084,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--keep-trace",
         metavar="PATH",
         help="driver mode: keep the intermediate JSONL trace at PATH "
-        "instead of a deleted tempfile",
-    )
-    p.add_argument(
-        "--timing-sidecar",
-        metavar="PATH",
-        help="driver mode: write the plane-2 timing/resource JSONL "
-        "sidecar here",
-    )
-    p.add_argument(
-        "--progress",
-        action="store_true",
-        help="driver mode: render live round progress on stderr",
-    )
-    p.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        help="driver mode: write round-boundary engine snapshots here",
-    )
-    p.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=256,
-        metavar="ROUNDS",
-        help="snapshot cadence in rounds (default: 256)",
-    )
-    p.add_argument(
-        "--resume",
-        action="store_true",
-        help="driver mode: resume from the newest snapshot in "
-        "--checkpoint-dir (byte-identical to an uninterrupted run)",
+        "instead of a deleted tempfile (needed with --checkpoint-dir: "
+        "snapshots point into the trace)",
     )
     p.set_defaults(func=cmd_profile)
 
@@ -1374,6 +1175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "run",
+        parents=[workload],
         help=(
             "one checkpointed demo workload run; supervision flags "
             "(--retries/--deadline/--watchdog/--max-rss) move it into "
@@ -1383,32 +1185,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workload",
-        choices=("coloring", "mis"),
+        choices=sorted(_WORKLOADS),
         default="coloring",
         help="coloring = the randomized Δ-coloring driver, "
         "mis = Luby's MIS (default: coloring)",
-    )
-    p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--delta", type=int, default=9)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        help="write round-boundary engine snapshots here",
-    )
-    p.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=256,
-        metavar="ROUNDS",
-        help="snapshot cadence in rounds (default: 256)",
-    )
-    p.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the newest snapshot in --checkpoint-dir; "
-        "the continued run (and its trace bytes) is identical to an "
-        "uninterrupted one",
     )
     p.add_argument(
         "--retries",
@@ -1446,15 +1226,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="record the deterministic JSONL trace here",
     )
     p.add_argument(
-        "--timing-sidecar",
-        metavar="PATH",
-        help="write the plane-2 timing/resource JSONL sidecar here "
-        "(supervisor lifecycle rows are appended to the same file)",
+        "--values",
+        action="store_true",
+        help="with --trace: include published payload values on "
+        "publish events",
     )
     p.add_argument(
-        "--progress",
+        "--no-topology",
         action="store_true",
-        help="render live round progress on stderr",
+        help="with --trace: omit the edge list from run_start events "
+        "(smaller traces; disables component profiling)",
+    )
+    p.add_argument(
+        "--steps",
+        action="store_true",
+        help="with --trace: emit one event per vertex step (large "
+        "traces)",
     )
     p.add_argument(
         "--audit",
@@ -1574,13 +1361,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="incremental result cache: a warm run over an unchanged "
         "corpus replays the stored findings without re-analyzing",
-    )
-    p.add_argument(
-        "--changed-from",
-        metavar="REF",
-        help="gate only findings in .py files changed since the git "
-        "ref (the full corpus is still analyzed for call-graph "
-        "context)",
     )
     p.set_defaults(func=cmd_lint)
 

@@ -71,9 +71,9 @@ class TimingSidecarObserver(RunObserver):
         Emit a ``timing_round`` line every this-many rounds (default
         64; per-round lines for million-round runs would dwarf the data
         they annotate).  Round 0 and the final round always sample.
-    resources:
-        Include RSS and GC readings (default True; the readings cost a
-        couple of syscalls per sample).
+
+    Run start, end and abort lines carry ``rss_kb`` and
+    ``gc_collections`` readings.
 
     Every line carries ``t`` — seconds since the observer was attached
     (``time.perf_counter`` deltas, monotonic) — never absolute wall
@@ -103,7 +103,6 @@ class TimingSidecarObserver(RunObserver):
         sink: Union[str, TextIO],
         *,
         sample_every: int = 64,
-        resources: bool = True,
     ) -> None:
         if sample_every < 1:
             raise ValueError(
@@ -116,7 +115,6 @@ class TimingSidecarObserver(RunObserver):
             self._stream = sink
             self._owns_stream = False
         self.sample_every = sample_every
-        self.resources = resources
         self.lines_written = 0
         self._t0 = time.perf_counter()
         self._run = -1
@@ -139,8 +137,6 @@ class TimingSidecarObserver(RunObserver):
         return time.perf_counter() - self._t0
 
     def _resource_fields(self) -> Dict[str, Any]:
-        if not self.resources:
-            return {}
         return {"rss_kb": _rss_kb(), "gc_collections": _gc_collections()}
 
     def close(self) -> None:

@@ -140,7 +140,6 @@ def supervise_run(
     deadline: Optional[float] = None,
     watchdog: Optional[float] = None,
     max_rss_kb: Optional[int] = None,
-    heartbeat_seconds: float = 0.5,
     sidecar: Any = None,
 ) -> RunOutcome:
     """Run ``target()`` in a supervised child process; see module doc.
@@ -191,7 +190,6 @@ def supervise_run(
             every_rounds=every_rounds,
             resume=True,
             heartbeat=lambda info: child_conn.send(("hb", info)),
-            heartbeat_seconds=heartbeat_seconds,
         )
         proc = ctx.Process(
             target=_child_entry,

@@ -370,41 +370,6 @@ class TestVectorizedBackend:
         assert fast.failures == vec.failures
         assert fast_rows == vec_rows
 
-    def test_crash_plan_falls_back_without_declared_support(
-        self, monkeypatch
-    ):
-        """Kernels that do not declare ``handles_crashes`` must leave
-        the vectorized path whenever the plan crashes anybody — and the
-        fallback result still matches the fast engine."""
-        from repro.algorithms import kernels
-        from repro.backends import vectorized
-
-        calls = []
-        original = vectorized._run_local_fast
-
-        def counting(*args, **kwargs):
-            calls.append("fast")
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(vectorized, "_run_local_fast", counting)
-        monkeypatch.setattr(
-            kernels.LinialKernel, "handles_crashes", False
-        )
-        graph, ids, params = self._linial_sparse_ids()
-        plan = FaultPlan(seed=5, crashes={3: 1})
-        fast, fast_rows = run_with_activity(
-            graph, LinialColoring(), Model.DET, ids=ids,
-            global_params=params, fault_plan=plan,
-        )
-        vec, vec_rows = run_with_activity(
-            graph, LinialColoring(), Model.DET, ids=ids,
-            global_params=params, fault_plan=plan,
-            backend="vectorized",
-        )
-        assert calls == ["fast"]
-        assert fast.outputs == vec.outputs
-        assert fast_rows == vec_rows
-
     def test_message_faults_fall_back_and_match(self):
         graph, params = _color_bidding_tree(n=80)
         plan = FaultPlan(seed=2, drop_rate=0.05, round_budget=256)

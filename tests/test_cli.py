@@ -190,3 +190,22 @@ class TestRunCli:
     def test_rejects_degenerate_sizes(self, capsys):
         assert main(["run", "--n", "1"]) == 2
         assert "need n >= 2" in capsys.readouterr().err
+
+
+class TestTraceCli:
+    def test_record_mode_is_gone(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--n", "60", "--output", str(tmp_path / "t")])
+        assert exc.value.code == 2
+        assert "query" in capsys.readouterr().err
+
+    def test_query_reads_a_run_trace(self, capsys, tmp_path):
+        import json
+
+        path = str(tmp_path / "t.jsonl")
+        argv = ["run", "--workload", "mis", "--n", "60", "--delta", "3"]
+        assert main(argv + ["--trace", path]) == 0
+        capsys.readouterr()
+        assert main(["trace", "query", path, "--format", "json"]) == 0
+        aggregate = json.loads(capsys.readouterr().out)
+        assert aggregate["runs"] >= 1

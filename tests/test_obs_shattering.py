@@ -24,6 +24,11 @@ from repro.obs import (
 )
 
 
+def _golden():
+    with open("tests/fixtures/profile_golden.txt", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _synthetic_events():
     """A hand-built trace: path 0-1-2-3, halts spread over rounds.
 
@@ -156,39 +161,45 @@ class TestAcceptanceRun:
 
 class TestProfileCli:
     def test_trace_then_profile_roundtrip(self, tmp_path, capsys):
+        """``repro run --trace`` records the driver-mode trace: its
+        profile reproduces the golden report."""
         path = str(tmp_path / "t.jsonl")
         assert (
             main(
                 [
-                    "trace",
+                    "run",
                     "--workload",
                     "coloring",
                     "--n",
                     "300",
+                    "--delta",
+                    "9",
                     "--seed",
                     "1",
-                    "--output",
+                    "--trace",
                     path,
                 ]
             )
             == 0
         )
-        out = capsys.readouterr().out
-        assert "trace written" in out
+        report = tmp_path / "report.txt"
+        capsys.readouterr()
         assert (
-            main(["profile", "--trace", path, "--unresolved", "-1"])
+            main(
+                [
+                    "profile",
+                    "--trace",
+                    path,
+                    "--unresolved",
+                    "-1",
+                    "--output",
+                    str(report),
+                ]
+            )
             == 0
         )
-        out = capsys.readouterr().out
-        assert "shattering profile" in out
-        assert "[ok] halt_fraction" in out
-
-    def test_trace_rejects_bad_size(self, capsys):
-        assert (
-            main(["trace", "--n", "1", "--output", "/tmp/nope.jsonl"])
-            == 2
-        )
-        assert "need n >= 2" in capsys.readouterr().err
+        capsys.readouterr()
+        assert report.read_text(encoding="utf-8") == _golden()
 
     def test_profile_missing_trace_is_usage_error(self, capsys):
         assert main(["profile", "--trace", "/no/such/file.jsonl"]) == 2
@@ -203,14 +214,14 @@ class TestProfileCli:
         assert (
             main(
                 [
-                    "trace",
+                    "run",
                     "--workload",
                     "mis",
                     "--n",
                     "60",
                     "--delta",
                     "3",
-                    "--output",
+                    "--trace",
                     path,
                 ]
             )
@@ -264,9 +275,48 @@ class TestProfileCli:
         )
         capsys.readouterr()
         with open(report_path, encoding="utf-8") as fh:
-            got = fh.read()
-        with open(
-            "tests/fixtures/profile_golden.txt", encoding="utf-8"
-        ) as fh:
-            want = fh.read()
-        assert got == want
+            assert fh.read() == _golden()
+
+    def test_resume_needs_checkpoint_dir(self, capsys):
+        assert main(["profile", "--n", "300", "--resume"]) == 2
+        assert "--resume needs --checkpoint-dir" in capsys.readouterr().err
+
+    def test_checkpoint_dir_needs_keep_trace(self, tmp_path, capsys):
+        argv = ["profile", "--n", "300", "--checkpoint-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert "needs --keep-trace" in capsys.readouterr().err
+
+    def _checkpointed(self, tmp_path, *extra):
+        return [
+            "profile",
+            "--n",
+            "300",
+            "--seed",
+            "1",
+            "--checkpoint-dir",
+            str(tmp_path / "ck"),
+            "--keep-trace",
+            str(tmp_path / "t.jsonl"),
+            *extra,
+        ]
+
+    def test_resume_appends_to_timing_sidecar(self, tmp_path, capsys):
+        sidecar = tmp_path / "side.jsonl"
+        argv = self._checkpointed(
+            tmp_path, "--timing-sidecar", str(sidecar)
+        )
+        assert main(argv) == 0
+        first = sidecar.read_text(encoding="utf-8")
+        assert first
+        assert main(argv + ["--resume"]) == 0
+        capsys.readouterr()
+        assert sidecar.read_text(encoding="utf-8").startswith(first)
+
+    def test_resumed_profile_reproduces_golden(self, tmp_path, capsys):
+        report = tmp_path / "report.txt"
+        argv = self._checkpointed(tmp_path, "--output", str(report))
+        assert main(argv) == 0
+        report.unlink()
+        assert main(argv + ["--resume"]) == 0
+        capsys.readouterr()
+        assert report.read_text(encoding="utf-8") == _golden()

@@ -617,18 +617,6 @@ class TestLintCLIDataflowFlags:
         assert code == 2
         assert "unreadable baseline" in capsys.readouterr().err
 
-    def test_changed_from_bad_ref_fails_loudly(self, capsys):
-        code = cli_main(
-            [
-                "lint",
-                "--changed-from",
-                "no-such-ref-anywhere",
-                str(FIXTURES / "clean_algos.py"),
-            ]
-        )
-        assert code == 2
-        capsys.readouterr()
-
     def test_cache_flag_round_trip(self, tmp_path, capsys):
         cache = tmp_path / "cache.json"
         target = str(FIXTURES / "lm006_bad.py")
