@@ -731,6 +731,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    except ValueError as exc:
+        print(f"repro verify: {exc}", file=sys.stderr)
+        return 2
     for line in report.summary_lines():
         print(line)
     if args.report:
@@ -754,6 +757,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     from .staticcheck import analyze_paths, default_target
+    from .staticcheck.modules import discover_files
 
     paths = args.paths or [str(default_target())]
     missing = [p for p in paths if not Path(p).exists()]
@@ -762,44 +766,17 @@ def cmd_lint(args: argparse.Namespace) -> int:
         for p in missing:
             print(f"repro lint: path does not exist: {p}", file=sys.stderr)
         return 2
-    if args.cache:
-        from .staticcheck.cache import cached_analyze
-
-        result, _hit = cached_analyze(paths, Path(args.cache))
-    else:
-        result = analyze_paths(paths)
-    base_dir = Path.cwd()
-    if args.update_baseline:
-        if not args.baseline:
-            print(
-                "repro lint: --update-baseline needs --baseline PATH",
-                file=sys.stderr,
-            )
-            return 2
-        from .staticcheck.baseline import write_baseline
-
-        count = write_baseline(Path(args.baseline), result, base_dir)
-        print(f"baseline written: {args.baseline} ({count} entries)")
-        return 0
-    if args.baseline:
-        from .staticcheck.baseline import apply_baseline, load_baseline
-
-        try:
-            entries = load_baseline(Path(args.baseline))
-        except (OSError, ValueError, KeyError) as exc:
-            print(
-                f"repro lint: unreadable baseline {args.baseline}: "
-                f"{exc}",
-                file=sys.stderr,
-            )
-            return 2
-        apply_baseline(result, entries, Path(args.baseline), base_dir)
+    empty = [p for p in paths if not discover_files([Path(p)])]
+    if empty:
+        # Nor must a path that holds no Python file.
+        print(
+            f"repro lint: no Python files under: {', '.join(empty)}",
+            file=sys.stderr,
+        )
+        return 2
+    result = analyze_paths(paths)
     if args.format == "json":
         print(result.to_json())
-    elif args.format == "sarif":
-        from .staticcheck.sarif import render_sarif
-
-        print(render_sarif(result, base_dir))
     else:
         print(result.render_text())
     if args.sarif_output:
@@ -809,7 +786,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
             parents=True, exist_ok=True
         )
         with open(args.sarif_output, "w", encoding="utf-8") as fh:
-            fh.write(render_sarif(result, base_dir))
+            fh.write(render_sarif(result, Path.cwd()))
             fh.write("\n")
     if not result.ok:
         return 1
@@ -1327,40 +1304,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
-        help="output format (default: text); sarif emits a SARIF "
-        "2.1.0 log for code-scanning upload",
+        help="report format on stdout (default: text)",
     )
     p.add_argument(
         "--sarif-output",
         metavar="PATH",
-        help="also write a SARIF 2.1.0 log here (independent of "
-        "--format)",
+        help="also write a SARIF 2.1.0 log here, for code-scanning "
+        "upload",
     )
     p.add_argument(
         "--strict",
         action="store_true",
         help="also exit 1 on warning-severity findings",
-    )
-    p.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="accepted-findings inventory: matched findings are "
-        "demoted to the suppressed count; stale entries surface as "
-        "BASELINE warnings",
-    )
-    p.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite --baseline FILE from this run's findings and "
-        "exit 0",
-    )
-    p.add_argument(
-        "--cache",
-        metavar="FILE",
-        help="incremental result cache: a warm run over an unchanged "
-        "corpus replays the stored findings without re-analyzing",
     )
     p.set_defaults(func=cmd_lint)
 

@@ -12,10 +12,9 @@ to an IR and proves two semantic contracts by abstract interpretation:
 the information radius of every published value against the declared
 :class:`~repro.algorithms.drivers.DriverSpec` radius (rule LM010), and
 seed/iteration-order freedom of DetLOCAL outputs (rule LM011).
-Supporting modules: :mod:`.sarif` (SARIF 2.1.0 logs for code-scanning),
-:mod:`.baseline` (accepted-findings inventories with stale-entry
-expiry), and :mod:`.cache` (corpus-fingerprint incremental result
-cache).
+:mod:`.sarif` writes a run's findings as a SARIF 2.1.0 log for
+code scanning.  A run keeps no state: every run analyzes the whole
+corpus from source.
 
 Typical use::
 
@@ -23,8 +22,9 @@ Typical use::
     result = analyze_paths(["src/repro"])
     assert result.clean, result.render_text()
 
-Findings can be suppressed per line with ``# repro: ignore[LM006]``
-(trailing, or on a comment-only line directly above).
+A finding is waived only inline, per line, with
+``# repro: ignore[LM006]`` (trailing, or on a comment-only line
+directly above).
 """
 
 from .analyzer import (
@@ -48,8 +48,8 @@ from .diagnostics import (
 from .modules import ModuleInfo, load_module, parse_suppressions
 from .rules import RULES, RuleEngine
 
-# Heavier optional layers (.dataflow, .sarif, .baseline, .cache) are
-# imported lazily by their consumers; they re-export their own APIs.
+# Heavier optional layers (.dataflow, .sarif) are imported lazily by
+# their consumers; they re-export their own APIs.
 
 __all__ = [
     "AnalysisResult",

@@ -13,8 +13,8 @@ SARIF log:
   location, the reachability chain folded into the message, and a
   **partial fingerprint** that is stable under unrelated edits (it hashes
   the rule id, the repo-relative path, and the offending *source line
-  text* rather than the line number), so baseline matching on the
-  code-scanning side survives code motion.
+  text* rather than the line number), so code scanning keeps tracking
+  the same alert when the code around it moves.
 
 Paths are emitted repo-relative (POSIX separators) when ``base_dir`` is
 given, which is what ``upload-sarif`` expects.
@@ -59,15 +59,6 @@ _PSEUDO_RULES = (
             "and silently un-suppresses itself on the next rename"
         ),
     ),
-    RuleSpec(
-        rule_id="BASELINE",
-        severity=Severity.WARNING,
-        summary="stale baseline entry for a finding that no longer occurs",
-        rationale=(
-            "fixed debt must be deleted from the committed baseline so "
-            "the accepted-findings inventory only ever shrinks"
-        ),
-    ),
 )
 
 
@@ -100,7 +91,8 @@ def _snippet(path: str, line: int) -> str:
 def fingerprint(diag: Diagnostic, base_dir: Optional[Path]) -> str:
     """Stable identity of a finding: rule id + repo-relative path +
     the source text of the flagged line.  Deliberately excludes the
-    line *number* so pure code motion does not churn baselines."""
+    line *number*, so pure code motion leaves the fingerprint (and the
+    code-scanning alert matched by it) unchanged."""
     payload = "\x1f".join(
         (
             diag.rule_id,

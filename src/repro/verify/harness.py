@@ -305,8 +305,9 @@ def run_verification(
 
     ``quick`` is the tier-1 profile: one trial per cell at each
     driver's ``quick_n`` only.  ``drivers`` / ``relation_names``
-    restrict the sweep; unknown names raise ``KeyError`` so a typo in
-    CI fails loudly rather than silently verifying nothing.
+    restrict the sweep; unknown names raise ``KeyError`` and a trial
+    count below 1 raises ``ValueError``, so a typo in CI fails loudly
+    rather than silently verifying nothing.
     """
     registry = driver_registry() if registry is None else registry
     validate_registry(registry)
@@ -321,6 +322,10 @@ def run_verification(
     per_cell = trials if trials is not None else (
         QUICK_TRIALS if quick else DEFAULT_TRIALS
     )
+    if per_cell < 1:
+        raise ValueError(
+            f"trials per cell must be at least 1, got {per_cell}"
+        )
     report = VerifyReport(master_seed=master_seed, quick=quick)
     for name, spec in registry.items():
         subject = subject_from_spec(spec)

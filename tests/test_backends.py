@@ -2,8 +2,9 @@
 
 Covers the selection machinery itself (precedence chain, env var,
 unknown names, unavailable extras), the vectorized backend's fallback
-rules, and the byte-level artifacts the backend contract promises:
-identical JSONL trace streams and backend-pinned sweep journals.
+rules and the documented engine of every driver phase, and the
+byte-level artifacts the backend contract promises: identical JSONL
+trace streams and backend-pinned sweep journals.
 
 Everything here runs on a numpy-less install too: vectorized-specific
 cases skip (never fail) when the ``[perf]`` extra is absent.
@@ -11,9 +12,11 @@ cases skip (never fail) when the ``[perf]`` extra is absent.
 
 import io
 import random
+from pathlib import Path
 
 import pytest
 
+from repro.algorithms.drivers import DRIVER_REGISTRY
 from repro.algorithms.linial import LinialColoring
 from repro.algorithms.rand_tree_coloring import (
     ColorBiddingAlgorithm,
@@ -27,6 +30,7 @@ from repro.core import (
     backend_names,
     current_backend_name,
     get_backend,
+    observe_runs,
     register_backend,
     run_local,
     use_backend,
@@ -34,7 +38,13 @@ from repro.core import (
 from repro.core.backend import _REGISTRY
 from repro.faults import FaultPlan
 from repro.graphs.generators import cycle_graph, random_tree_bounded_degree
+from repro.obs import RunObserver
 from tests.test_io_tracing import ActivityLog, run_with_activity
+
+PERFORMANCE_DOC = (
+    Path(__file__).resolve().parent.parent / "docs" / "performance.md"
+)
+ENGINE_TABLE_HEADER = "| Driver | Phase | Engine | Kernel |"
 
 NUMPY_AVAILABLE = "vectorized" in available_backend_names()
 
@@ -385,6 +395,48 @@ class TestVectorizedBackend:
             except Exception as exc:  # noqa: BLE001 — outcome folding
                 outcomes.append(("error", f"{type(exc).__name__}: {exc}"))
         assert outcomes[0] == outcomes[1]
+
+
+class _EngineLog(RunObserver):
+    """``(algorithm, backend, kernel)`` of every run it watches."""
+
+    def __init__(self):
+        self.runs = []
+
+    def on_run_start(self, meta):
+        self._algorithm = meta.algorithm
+
+    def on_backend_info(self, backend, kernel):
+        self.runs.append((self._algorithm, backend, kernel))
+
+
+def _documented_engine_table():
+    """docs/performance.md's "driver × phase → engine" table as
+    ``{driver: [(phase, engine, kernel), ...]}`` in row order; a blank
+    driver cell continues the driver above it."""
+    lines = PERFORMANCE_DOC.read_text(encoding="utf-8").splitlines()
+    table, driver = {}, None
+    for line in lines[lines.index(ENGINE_TABLE_HEADER) + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [c.strip().strip("`") for c in line.strip("|").split("|")]
+        driver = cells[0] or driver
+        kernel = None if cells[3] == "—" else cells[3]
+        table.setdefault(driver, []).append((cells[1], cells[2], kernel))
+    return table
+
+
+@needs_vectorized
+class TestEngineCoverageTable:
+    def test_driver_phases_run_on_the_documented_engine(self):
+        observed = {}
+        for name, spec in DRIVER_REGISTRY.items():
+            graph = spec.make_graph(spec.quick_n, random.Random(0))
+            log = _EngineLog()
+            with use_backend("vectorized"), observe_runs(log):
+                spec.run(graph)
+            observed[name] = log.runs
+        assert observed == _documented_engine_table()
 
 
 # ----------------------------------------------------------------------

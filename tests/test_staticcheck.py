@@ -233,11 +233,26 @@ class TestLintCLI:
         assert data["summary"]["errors"] == 1
         assert data["diagnostics"][0]["rule_id"] == "LM002"
 
-    def test_lint_missing_path_is_a_usage_error(self, capsys):
-        """A typo'd path must not read as a clean gate."""
+    def test_lint_missing_path_is_a_usage_error(self, tmp_path, capsys):
+        """A typo'd path must not read as a clean gate, and neither
+        must a path that holds no Python file."""
         code = cli_main(["lint", "does/not/exist.py"])
         assert code == 2
         assert "does not exist" in capsys.readouterr().err
+        readme = str(tmp_path / "README.md")
+        Path(readme).write_text("# not python\n")
+        empty = str(tmp_path / "empty")
+        Path(empty).mkdir()
+        clean = str(FIXTURES / "clean_algos.py")
+        for args, named in (
+            ([readme], readme),
+            (["--strict", empty], empty),
+            ([readme, clean], readme),
+        ):
+            assert cli_main(["lint", *args]) == 2
+            captured = capsys.readouterr()
+            assert f"no Python files under: {named}\n" in captured.err
+            assert "0 error(s)" not in captured.out
 
     def test_unparsable_file_is_an_error_finding(self, tmp_path, capsys):
         bad = tmp_path / "broken.py"

@@ -4,9 +4,8 @@ Covers: the AbsVal lattice algebra, IR lowering, static contract
 recovery from ``DriverSpec``/``subject_from_algorithm`` declarations,
 the seeded radius/determinism fixtures (exact lines), the registry
 coverage meta-test (no driver silently skipped), suppression interplay
-with the pattern rules, baselines (demotion + stale-entry expiry),
-SARIF 2.1.0 output (motion-stable fingerprints), the incremental
-result cache, and the new ``repro lint`` CLI flags.
+with the pattern rules, SARIF 2.1.0 output (motion-stable
+fingerprints), and ``repro lint --sarif-output``.
 """
 
 import json
@@ -16,15 +15,7 @@ import pytest
 
 import repro
 from repro.cli import main as cli_main
-from repro.staticcheck import Severity, analyze_paths, load_corpus
-from repro.staticcheck.baseline import (
-    BASELINE_VERSION,
-    BaselineEntry,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.staticcheck.cache import cached_analyze
+from repro.staticcheck import RULES, Severity, analyze_paths, load_corpus
 from repro.staticcheck.callgraph import CallGraph
 from repro.staticcheck.dataflow import (
     SYMMETRY_BREAKING_LCLS,
@@ -361,83 +352,6 @@ class TestSuppressionInterplay:
         assert "LM999" in warn.message
 
 
-class TestBaseline:
-    def test_write_then_apply_demotes_everything(self, tmp_path):
-        result = analyze_paths([FIXTURES / "lm001_bad.py"])
-        assert len(result.diagnostics) == 2
-        baseline = tmp_path / "baseline.json"
-        assert write_baseline(baseline, result) == 2
-
-        fresh = analyze_paths([FIXTURES / "lm001_bad.py"])
-        entries = load_baseline(baseline)
-        apply_baseline(fresh, entries, baseline)
-        assert fresh.clean
-        assert [d.rule_id for d in fresh.suppressed] == ["LM001", "LM001"]
-
-    def test_stale_entry_expires_as_baseline_warning(self, tmp_path):
-        stale = analyze_paths([FIXTURES / "lm001_bad.py"])
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, stale)
-
-        clean = analyze_paths([FIXTURES / "clean_algos.py"])
-        apply_baseline(clean, load_baseline(baseline), baseline)
-        assert [d.rule_id for d in clean.diagnostics] == [
-            "BASELINE",
-            "BASELINE",
-        ]
-        for diag in clean.diagnostics:
-            assert diag.severity is Severity.WARNING
-            assert diag.path == str(baseline)
-            assert "no longer occurs" in diag.message
-            assert "only ever shrink" in diag.hint
-        # Stale entries gate under --strict: the inventory cannot rot.
-        assert not clean.clean
-
-    def test_entries_are_repo_relative_and_fingerprinted(self, tmp_path):
-        result = analyze_paths([FIXTURES / "lm001_bad.py"])
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, result, base_dir=FIXTURES)
-        data = json.loads(baseline.read_text())
-        assert data["version"] == BASELINE_VERSION
-        for entry in data["entries"]:
-            assert entry["path"] == "lm001_bad.py"
-            assert len(entry["fingerprint"]) == 40
-
-    def test_malformed_baseline_is_rejected_not_ignored(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"version": 999, "entries": []}')
-        with pytest.raises(ValueError):
-            load_baseline(bad)
-        bad.write_text('["not", "a", "baseline"]')
-        with pytest.raises(ValueError):
-            load_baseline(bad)
-
-    def test_matching_ignores_line_numbers(self, tmp_path):
-        """Pure code motion must not expire baseline entries."""
-        source = (FIXTURES / "lm001_bad.py").read_text()
-        moved = tmp_path / "lm001_bad.py"
-        moved.write_text(source)
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, analyze_paths([moved]), tmp_path)
-
-        moved.write_text("# pushed down one line\n" + source)
-        shifted = analyze_paths([moved])
-        apply_baseline(
-            shifted, load_baseline(baseline), baseline, tmp_path
-        )
-        assert shifted.clean, shifted.render_text()
-
-    def test_entry_key_identity(self):
-        entry = BaselineEntry(
-            rule_id="LM001",
-            path="a.py",
-            fingerprint="f" * 40,
-            line=3,
-            message="m",
-        )
-        assert entry.key() == ("LM001", "a.py", "f" * 40)
-
-
 class TestSarif:
     @pytest.fixture()
     def log(self):
@@ -453,9 +367,7 @@ class TestSarif:
         rules = {
             r["id"] for r in log["runs"][0]["tool"]["driver"]["rules"]
         }
-        assert {
-            "LM001", "LM010", "LM011", "PARSE", "SUPPRESS", "BASELINE",
-        } <= rules
+        assert rules == set(RULES) | {"PARSE", "SUPPRESS"}
         for descriptor in log["runs"][0]["tool"]["driver"]["rules"]:
             assert descriptor["shortDescription"]["text"]
             assert descriptor["defaultConfiguration"]["level"] in (
@@ -511,121 +423,23 @@ class TestSarif:
         assert before != after
 
 
-class TestCache:
-    def test_cold_miss_then_warm_hit(self, tmp_path):
-        target = tmp_path / "lm001_bad.py"
-        target.write_text((FIXTURES / "lm001_bad.py").read_text())
-        cache = tmp_path / "cache.json"
-
-        cold, hit = cached_analyze([target], cache)
-        assert not hit
-        warm, hit = cached_analyze([target], cache)
-        assert hit
-        assert [d.to_dict() for d in warm.diagnostics] == [
-            d.to_dict() for d in cold.diagnostics
-        ]
-        assert warm.files_analyzed == cold.files_analyzed
-
-    def test_editing_a_corpus_file_invalidates(self, tmp_path):
-        target = tmp_path / "lm001_bad.py"
-        target.write_text((FIXTURES / "lm001_bad.py").read_text())
-        cache = tmp_path / "cache.json"
-        cached_analyze([target], cache)
-
-        target.write_text(
-            (FIXTURES / "lm001_bad.py").read_text() + "\n# edited\n"
-        )
-        _result, hit = cached_analyze([target], cache)
-        assert not hit
-
-    def test_corrupt_cache_degrades_to_cold_run(self, tmp_path):
-        target = tmp_path / "clean_algos.py"
-        target.write_text((FIXTURES / "clean_algos.py").read_text())
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json")
-        result, hit = cached_analyze([target], cache)
-        assert not hit
-        assert result.clean
-        # ... and the bad cache was replaced with a working one.
-        _result, hit = cached_analyze([target], cache)
-        assert hit
-
-
 class TestLintCLIDataflowFlags:
     def test_sarif_format_and_output_file(self, tmp_path, capsys):
-        out = tmp_path / "lint.sarif"
+        """SARIF goes to a file only; stdout keeps the text report."""
+        out = tmp_path / "nested" / "lint.sarif"
         code = cli_main(
             [
                 "lint",
-                "--format",
-                "sarif",
                 "--sarif-output",
                 str(out),
                 str(FIXTURES / "lm010_bad.py"),
             ]
         )
         assert code == 1
-        printed = json.loads(capsys.readouterr().out)
+        printed = capsys.readouterr().out
+        assert "[LM010]" in printed and "error(s)" in printed
         written = json.loads(out.read_text())
-        assert printed["version"] == written["version"] == "2.1.0"
+        assert written["version"] == "2.1.0"
         assert {
             r["ruleId"] for r in written["runs"][0]["results"]
         } == {"LM010"}
-
-    def test_update_baseline_requires_baseline_path(self, capsys):
-        code = cli_main(
-            ["lint", "--update-baseline", str(FIXTURES / "lm001_bad.py")]
-        )
-        assert code == 2
-        assert "--baseline" in capsys.readouterr().err
-
-    def test_baseline_cycle_via_cli(self, tmp_path, capsys):
-        target = str(FIXTURES / "lm001_bad.py")
-        baseline = tmp_path / "baseline.json"
-        assert cli_main(["lint", "--strict", target]) == 1
-        assert (
-            cli_main(
-                [
-                    "lint",
-                    "--baseline",
-                    str(baseline),
-                    "--update-baseline",
-                    target,
-                ]
-            )
-            == 0
-        )
-        assert (
-            cli_main(
-                ["lint", "--strict", "--baseline", str(baseline), target]
-            )
-            == 0
-        )
-        capsys.readouterr()
-
-    def test_unreadable_baseline_is_a_usage_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("[]")
-        code = cli_main(
-            [
-                "lint",
-                "--baseline",
-                str(bad),
-                str(FIXTURES / "clean_algos.py"),
-            ]
-        )
-        assert code == 2
-        assert "unreadable baseline" in capsys.readouterr().err
-
-    def test_cache_flag_round_trip(self, tmp_path, capsys):
-        cache = tmp_path / "cache.json"
-        target = str(FIXTURES / "lm006_bad.py")
-        assert cli_main(["lint", "--cache", str(cache), target]) == 0
-        assert cache.exists()
-        assert (
-            cli_main(
-                ["lint", "--strict", "--cache", str(cache), target]
-            )
-            == 1
-        )
-        capsys.readouterr()

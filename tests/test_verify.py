@@ -359,6 +359,23 @@ def test_cli_verify_unknown_driver_exits_two(capsys):
     assert "unknown driver" in capsys.readouterr().err
 
 
+def test_trials_below_one_is_a_usage_error(capsys):
+    """Zero trials per cell would report every cell ok after checking
+    nothing."""
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            run_verification(
+                drivers=["luby-mis"], trials=trials, quick=True
+            )
+    code = cli_main(
+        ["verify", "--quick", "--driver", "luby-mis", "--trials", "0"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "at least 1" in captured.err
+    assert "cells" not in captured.out
+
+
 def test_cli_verify_writes_empty_report_when_clean(tmp_path, capsys):
     out = tmp_path / "counterexamples.jsonl"
     code = cli_main(
