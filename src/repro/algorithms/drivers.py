@@ -196,9 +196,6 @@ class DriverSpec:
             return self.radius(n, delta)
         return self.bound(n, delta)
 
-    def declared_radius_label(self) -> str:
-        return self.radius_label or self.bound_label
-
     def run(
         self,
         graph: Graph,

@@ -19,13 +19,12 @@ clear message instead of a bare pool crash.
 Resilience: sweeps survive flaky cells and flaky infrastructure (see
 :mod:`repro.analysis.resilience` and ``docs/robustness.md``).
 ``retries=k`` re-runs a cell that raises
-:class:`~repro.core.errors.AlgorithmFailure` — or whose worker hangs or
+:class:`~repro.core.errors.AlgorithmFailure` — or whose pooled worker
 dies — up to ``k`` extra times under :func:`retry_seed`-derived seeds;
-``timeout=s`` kills pooled workers that exceed a per-cell wall-clock
-deadline; ``journal=path`` checkpoints completed cells to JSONL so an
+``journal=path`` checkpoints completed cells to JSONL so an
 interrupted sweep resumes where it left off, byte-identically.  Every
-cell's fate — including cells the historical harness dropped silently
-under ``skip_failures`` — is recorded in ``Series.cell_outcomes``.
+cell's fate, a crashed worker's included, is recorded in
+``Series.cell_outcomes``.
 """
 
 from __future__ import annotations
@@ -71,8 +70,7 @@ class Series:
     #: Each entry is ``{"x": ..., "seed": ..., "summary": {...}}``.
     cell_telemetry: List[Dict[str, Any]] = field(default_factory=list)
     #: Per-cell audit records in grid order, populated by ``run_sweep``
-    #: — including skipped cells, which earlier harness versions
-    #: dropped without a trace.
+    #: — crashed cells included.
     cell_outcomes: List[CellOutcome] = field(default_factory=list)
 
     def add(self, x: float, values: Iterable[float]) -> None:
@@ -83,7 +81,7 @@ class Series:
 
     def telemetry(self) -> Optional[Dict[str, Any]]:
         """All cell summaries merged deterministically (None if the
-        sweep ran without an observer factory).  Skipped cells carry no
+        sweep ran without an observer factory).  Crashed cells carry no
         summary and are excluded from the merge."""
         summaries = [
             cell["summary"]
@@ -98,8 +96,8 @@ class Series:
 
     @property
     def skipped(self) -> List[CellOutcome]:
-        """Cells that produced no measurement (declared failure under
-        ``skip_failures``, worker timeout, or worker crash)."""
+        """Cells that produced no measurement: pooled workers that
+        died without reporting, after their retries."""
         return [o for o in self.cell_outcomes if not o.ok]
 
     @property
@@ -182,11 +180,11 @@ def _attempt(
     ``AlgorithmFailure`` and genuine bugs propagate to the caller —
     retry policy is the caller's business, not the attempt's.
 
-    ``backend`` is the sweep's resolved engine backend, re-attached
-    ambiently around the measurement so every ``run_local`` call it
-    makes — serial or inside a forked pool worker — uses the same
-    engine (the name travels to children as a plain string, never as
-    inherited mutable scope state).
+    ``backend`` is the backend ``run_sweep`` resolved once from the
+    ambient selection, re-attached around the measurement so every
+    ``run_local`` call it makes — serial or inside a forked pool
+    worker — uses the same engine (the name travels to children as a
+    plain string, never as inherited mutable scope state).
     """
     observer = observer_factory() if observer_factory is not None else None
     if observer is not None:
@@ -206,13 +204,10 @@ def run_sweep(
     xs: Sequence[float],
     measure: Callable[[float, int], float],
     seeds: Sequence[int] = (0, 1, 2),
-    skip_failures: bool = False,
     workers: Optional[int] = None,
     observer_factory: Optional[Callable[[], Any]] = None,
     retries: int = 0,
-    timeout: Optional[float] = None,
     journal: Optional[str] = None,
-    backend: Optional[str] = None,
     progress: Optional[Callable[[int, int, Any], None]] = None,
     checkpoint_dir: Optional[str] = None,
     checkpoint_every: int = 256,
@@ -227,28 +222,23 @@ def run_sweep(
     informational, never part of the Series, and exceptions it raises
     propagate like any observer's.
 
-    ``backend`` pins the engine backend every cell runs under
-    (default: the ambient selection at call time, resolved once so
-    pooled workers cannot drift from the parent).  The resolved name is
-    part of the journal fingerprint — resuming a journaled sweep under
-    a different backend is refused rather than silently mixing engines.
+    Every cell runs under the engine backend selected at call time
+    (pick one with :func:`repro.core.use_backend` or
+    ``REPRO_BACKEND``), resolved once so pooled workers cannot drift
+    from the parent.  The resolved name is part of the journal
+    fingerprint — resuming a journaled sweep under a different backend
+    is refused rather than silently mixing engines.
 
-    With ``skip_failures`` (for randomized algorithms with a declared
-    failure mode), runs that raise :class:`AlgorithmFailure` are
-    excluded from the aggregates — but no longer silently: every
-    skipped cell is recorded (x, seed, attempts, exception repr) in
-    ``Series.cell_outcomes``.  A point with *no* surviving run still
-    raises.  Any other exception (``TypeError``,
-    ``ModelViolationError``, ...) is a genuine bug and always
-    propagates.
-
-    With ``retries=k``, a cell whose attempt raises
-    :class:`AlgorithmFailure` — or, under a pool, whose worker hangs
-    past ``timeout`` or dies outright — is re-run up to ``k`` more
-    times, each attempt under the deterministic
+    A cell whose measurement raises :class:`AlgorithmFailure` is
+    re-run up to ``retries`` more times — as is, under a pool, a cell
+    whose worker dies outright — each attempt under the deterministic
     :func:`~repro.analysis.resilience.retry_seed` derived from
     ``(seed, attempt)`` (attempt 0 is ``seed`` itself, so ``retries=0``
-    reproduces the historical harness bit-for-bit).
+    measures every cell at its own seed).  A declared failure that
+    outlives its retries aborts the sweep with that
+    :class:`AlgorithmFailure`; any other exception (``TypeError``,
+    ``ModelViolationError``, ...) is a genuine bug and propagates at
+    once.
 
     With ``workers=N`` (N > 1), the grid × seed cells are fanned out to
     a fork-based process-per-cell pool.  Determinism contract:
@@ -259,10 +249,7 @@ def run_sweep(
     unavailable the sweep silently runs serially.  A worker that dies
     without reporting (OOM-kill, hard interpreter abort) fails its own
     cell — recorded as a ``crashed`` outcome after retries — instead of
-    taking the sweep down.  ``timeout`` (seconds, pool mode only: a
-    serial sweep has no one to kill a hung cell) bounds each cell's
-    wall clock; a worker past its deadline is killed and the cell
-    requeued or recorded as ``timeout``.
+    taking the sweep down; a point whose every cell crashed raises.
 
     With ``observer_factory``, each cell runs under a fresh observer
     (attached ambiently via :func:`repro.core.observe_runs`, so every
@@ -291,12 +278,8 @@ def run_sweep(
     """
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
-    if timeout is not None and timeout <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout}")
-    effective_backend = (
-        backend if backend is not None else current_backend_name()
-    )
-    get_backend(effective_backend)  # fail fast on unknown names
+    backend = current_backend_name()
+    get_backend(backend)  # fail fast on unknown names
     cells = [(x, seed) for x in xs for seed in seeds]
     sweep_journal = None
     if journal is not None:
@@ -307,11 +290,9 @@ def run_sweep(
                 "xs": list(xs),
                 "seeds": list(seeds),
                 "retries": retries,
-                "timeout": timeout,
-                "skip_failures": skip_failures,
                 "telemetry": observer_factory is not None,
                 "cells": len(cells),
-                "backend": effective_backend,
+                "backend": backend,
                 # In-run snapshot cadence (the directory path itself is
                 # machine-local and deliberately excluded).
                 "checkpoint": checkpoint_dir is not None,
@@ -354,13 +335,12 @@ def run_sweep(
                 cells,
                 measure,
                 observer_factory,
-                skip_failures,
                 retries,
                 sweep_journal,
                 done,
                 outcomes,
                 summaries,
-                effective_backend,
+                backend,
                 ticker,
                 checkpoint_dir,
                 checkpoint_every,
@@ -371,16 +351,14 @@ def run_sweep(
                 cells,
                 measure,
                 observer_factory,
-                skip_failures,
                 retries,
-                timeout,
                 min(workers, len(cells)),
                 pool_ctx,
                 sweep_journal,
                 done,
                 outcomes,
                 summaries,
-                effective_backend,
+                backend,
                 ticker,
                 checkpoint_dir,
                 checkpoint_every,
@@ -415,7 +393,6 @@ def _run_serial(
     cells: List[Tuple[float, int]],
     measure: Callable[[float, int], float],
     observer_factory: Optional[Callable[[], Any]],
-    skip_failures: bool,
     retries: int,
     sweep_journal: Optional[SweepJournal],
     done: Dict[int, Any],
@@ -445,38 +422,27 @@ def _run_serial(
                     checkpoint_dir,
                     checkpoint_every,
                 )
-            except AlgorithmFailure as exc:
-                if attempt < retries:
-                    attempt += 1
-                    continue
-                if not skip_failures:
-                    raise
-                outcomes[index] = CellOutcome(
-                    x, seed, "failed", None, attempt + 1, effective,
-                    repr(exc),
-                )
                 break
-            summaries[index] = (
-                _cell_summary(observer) if observer is not None else None
-            )
-            outcomes[index] = CellOutcome(
-                x, seed, "ok", value, attempt + 1, effective
-            )
-            break
+            except AlgorithmFailure:
+                if attempt == retries:
+                    raise
+                attempt += 1
+        summaries[index] = (
+            _cell_summary(observer) if observer is not None else None
+        )
+        outcome = CellOutcome(x, seed, "ok", value, attempt + 1, effective)
+        outcomes[index] = outcome
         if sweep_journal is not None:
-            assert outcomes[index] is not None
-            sweep_journal.record(index, outcomes[index], summaries[index])
+            sweep_journal.record(index, outcome, summaries[index])
         if ticker is not None:
-            ticker(outcomes[index])
+            ticker(outcome)
 
 
 def _run_pooled(
     cells: List[Tuple[float, int]],
     measure: Callable[[float, int], float],
     observer_factory: Optional[Callable[[], Any]],
-    skip_failures: bool,
     retries: int,
-    timeout: Optional[float],
     workers: int,
     pool_ctx: Any,
     sweep_journal: Optional[SweepJournal],
@@ -508,7 +474,7 @@ def _run_pooled(
                 # Declared failures cross the pipe as strings — fault
                 # plans and run metadata hanging off the exception may
                 # not pickle, and the parent only needs the message.
-                return ("failed", str(exc), repr(exc))
+                return ("failed", str(exc))
             summary = (
                 _cell_summary(observer) if observer is not None else None
             )
@@ -521,7 +487,7 @@ def _run_pooled(
                 return ("error_repr", repr(exc))
 
     def classify(status: str, payload: Any) -> bool:
-        if status != "done":  # hung (timeout) or dead (crashed) worker
+        if status != "done":  # the worker died without reporting
             return True
         kind = payload[0]
         if kind == "ok":
@@ -541,13 +507,7 @@ def _run_pooled(
         x, seed = cells[index]
         effective = retry_seed(seed, attempts - 1)
         summary = None
-        if status == "timeout":
-            outcome = CellOutcome(
-                x, seed, "timeout", None, attempts, effective,
-                f"worker killed after exceeding the {timeout}s "
-                "per-cell deadline",
-            )
-        elif status == "crashed":
+        if status == "crashed":
             outcome = CellOutcome(
                 x, seed, "crashed", None, attempts, effective,
                 "worker process died without reporting a result",
@@ -557,12 +517,8 @@ def _run_pooled(
                 x, seed, "ok", payload[1], attempts, effective
             )
             summary = payload[2]
-        else:  # ("failed", message, repr)
-            if not skip_failures:
-                raise AlgorithmFailure(payload[1])
-            outcome = CellOutcome(
-                x, seed, "failed", None, attempts, effective, payload[2]
-            )
+        else:  # ("failed", message)
+            raise AlgorithmFailure(payload[1])
         outcomes[index] = outcome
         summaries[index] = summary
         if sweep_journal is not None:
@@ -581,7 +537,6 @@ def _run_pooled(
             classify,
             workers=workers,
             retries=retries,
-            timeout=timeout,
             skip=done,
             on_result=on_result,
             checkpoint_dir=checkpoint_dir,

@@ -23,15 +23,14 @@ cell *measures*:
 
 - :func:`run_cells_resilient` — a process-per-cell fork scheduler that
   survives worker crash-stop (a SIGKILLed worker fails its cell, not
-  the sweep), enforces per-cell wall-clock deadlines by killing and
-  requeueing hung workers, and requeues retryable cells with bumped
-  attempt numbers.  The parent waits on the result pipes with
-  :func:`multiprocessing.connection.wait` using deadline-derived
-  timeouts — there is no fixed polling interval to inflate latency.
+  the sweep) and requeues retryable cells with bumped attempt numbers.
+  The parent blocks on the result pipes with
+  :func:`multiprocessing.connection.wait` — there is no polling
+  interval to inflate latency.
 
 :class:`CellOutcome` is the per-cell audit record the sweep attaches to
-its :class:`~repro.analysis.experiments.Series` — including skipped
-cells, which the historical harness dropped silently.
+its :class:`~repro.analysis.experiments.Series` — crashed cells
+included.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import (
@@ -70,8 +68,8 @@ _RETRY_STREAM = 0xA5EED5EED5EED5EE
 def retry_seed(seed: int, attempt: int) -> int:
     """The seed for retry ``attempt`` of a cell seeded with ``seed``.
 
-    Attempt 0 is the cell's own seed — a ``retries=0`` sweep is
-    bit-identical to one run on the pre-resilience harness.  Later
+    Attempt 0 is the cell's own seed — a ``retries=0`` sweep measures
+    every cell at the seed it was given.  Later
     attempts hash ``(seed, attempt)`` into an independent 63-bit seed
     (non-negative, so it is valid for ``random.Random`` and JSON-safe),
     recorded in the cell's outcome for replay.
@@ -83,23 +81,21 @@ def retry_seed(seed: int, attempt: int) -> int:
     return mix64(_RETRY_STREAM, seed, attempt) >> 1
 
 
-#: Terminal cell statuses.  ``ok`` carries a value; everything else is
-#: a skipped cell (visible through ``Series.skipped``).
-CELL_STATUSES = ("ok", "failed", "timeout", "crashed")
+#: Terminal cell statuses.  ``ok`` carries a value; ``crashed`` is a
+#: skipped cell (visible through ``Series.skipped``).
+CELL_STATUSES = ("ok", "crashed")
 
 
 @dataclass
 class CellOutcome:
     """The audit record for one sweep cell (final attempt).
 
-    ``status`` is one of :data:`CELL_STATUSES`: ``ok`` (measured),
-    ``failed`` (declared :class:`AlgorithmFailure` after all retries,
-    recorded under ``skip_failures``), ``timeout`` (worker exceeded the
-    per-cell deadline and was killed), or ``crashed`` (worker died
-    without reporting — e.g. SIGKILL or a hard interpreter abort).
+    ``status`` is one of :data:`CELL_STATUSES`: ``ok`` (measured) or
+    ``crashed`` (the pooled worker died without reporting — e.g.
+    SIGKILL or a hard interpreter abort — on every attempt).
     ``attempts`` counts attempts actually made; ``effective_seed`` is
-    :func:`retry_seed` of the final attempt.  ``error`` holds the repr
-    of the declared failure (or a scheduler message) for non-ok cells.
+    :func:`retry_seed` of the final attempt.  ``error`` holds the
+    scheduler's message for a crashed cell.
     """
 
     x: float
@@ -149,7 +145,7 @@ class SweepJournal:
     """JSONL checkpoint journal for one sweep invocation.
 
     Line 1 is the header: schema, version, and the sweep fingerprint
-    (name, grid, seeds, retry/timeout policy, cell count), dumped with
+    (name, grid, seeds, retry policy, backend, cell count), dumped with
     ``sort_keys`` so the header is canonical.  Every completed cell
     appends ``{"cell": index, "outcome": {...}, "summary": ...}``
     dumped *without* ``sort_keys`` — JSON objects preserve insertion
@@ -267,7 +263,6 @@ def run_cells_resilient(
     classify: Callable[[str, Any], bool],
     workers: int,
     retries: int,
-    timeout: Optional[float],
     skip: Optional[Dict[int, Any]] = None,
     on_result: Optional[Callable[[int, str, Any, int], None]] = None,
     checkpoint_dir: Optional[str] = None,
@@ -280,7 +275,7 @@ def run_cells_resilient(
     payloads; a child that *does* die unreported is a ``crashed`` cell,
     which is exactly the pathology this scheduler absorbs).  The parent
     calls ``classify(status, payload)`` on every completion — status is
-    ``done``/``timeout``/``crashed`` — and a True return requeues the
+    ``done`` or ``crashed`` — and a True return requeues the
     cell (until ``retries`` is exhausted) with the attempt counter
     bumped; ``classify`` may raise to abort the sweep, in which case
     every in-flight worker is killed before the exception propagates.
@@ -293,7 +288,7 @@ def run_cells_resilient(
     ``checkpoint_dir/cell-NNNN`` with ``resume=True``: every
     ``run_local`` the payload makes snapshots at round boundaries, and
     a cell whose previous incarnation died mid-run (a killed sweep
-    re-launched with the same directory, or a timed-out worker whose
+    re-launched with the same directory, or a crashed worker whose
     payload re-derives the same run) resumes from its last snapshot
     instead of round 0.  Snapshots are fingerprinted by run identity —
     a retry whose payload derives a *different* seed (see
@@ -304,9 +299,7 @@ def run_cells_resilient(
     or ``None`` for indices listed in ``skip`` (already completed,
     e.g. replayed from a journal).  Cells launch in index order, so a
     deterministic ``child_payload`` yields results independent of
-    completion order; at most ``workers`` children run at once, and a
-    child past its deadline is killed (SIGKILL) and classified as
-    ``timeout``.
+    completion order; at most ``workers`` children run at once.
     """
     import multiprocessing.connection as mp_connection
 
@@ -316,8 +309,8 @@ def run_cells_resilient(
         for index in range(count)
         if skip is None or index not in skip
     )
-    # conn -> (index, attempt, process, deadline)
-    active: Dict[Any, Tuple[int, int, Any, Optional[float]]] = {}
+    # conn -> (index, attempt, process)
+    active: Dict[Any, Tuple[int, int, Any]] = {}
 
     def settle(status: str, payload: Any, index: int, attempt: int) -> None:
         if classify(status, payload) and attempt < retries:
@@ -348,27 +341,9 @@ def run_cells_resilient(
                 # that dies without sending then yields EOF instead of
                 # a pipe that never becomes ready.
                 send_end.close()
-                deadline = (
-                    time.monotonic() + timeout
-                    if timeout is not None
-                    else None
-                )
-                active[recv_end] = (index, attempt, proc, deadline)
-            wait_for = None
-            if timeout is not None:
-                now = time.monotonic()
-                wait_for = max(
-                    0.0,
-                    min(
-                        deadline
-                        for (_, _, _, deadline) in active.values()
-                        if deadline is not None
-                    )
-                    - now,
-                )
-            ready = mp_connection.wait(list(active), timeout=wait_for)
-            for conn in ready:
-                index, attempt, proc, _ = active.pop(conn)
+                active[recv_end] = (index, attempt, proc)
+            for conn in mp_connection.wait(list(active)):
+                index, attempt, proc = active.pop(conn)
                 try:
                     payload = conn.recv()
                     status = "done"
@@ -378,18 +353,8 @@ def run_cells_resilient(
                 conn.close()
                 proc.join()
                 settle(status, payload, index, attempt)
-            if timeout is not None:
-                now = time.monotonic()
-                for conn in list(active):
-                    index, attempt, proc, deadline = active[conn]
-                    if deadline is not None and now >= deadline:
-                        del active[conn]
-                        proc.kill()
-                        proc.join()
-                        conn.close()
-                        settle("timeout", None, index, attempt)
     finally:
-        for conn, (_, _, proc, _) in active.items():
+        for conn, (_, _, proc) in active.items():
             proc.kill()
             proc.join()
             conn.close()

@@ -215,6 +215,9 @@ class CheckpointScope:
     ``fresh_tail`` flips once any slot ran fresh: every later slot must
     then ignore (and overwrite) whatever stale files it finds, because
     snapshots past a fresh slot describe a run that no longer exists.
+    ``heartbeat_last`` is when the last heartbeat went out: the
+    throttle spans slots, so a driver made of many short phases still
+    beats every ``heartbeat_seconds``.
     """
 
     policy: CheckpointPolicy
@@ -223,6 +226,7 @@ class CheckpointScope:
     restored_any: bool = False
     fresh_tail: bool = False
     events: List[Dict[str, Any]] = field(default_factory=list)
+    heartbeat_last: float = field(default_factory=time.monotonic)
 
     def next_session(self) -> "CheckpointSession":
         slot = self.next_slot
@@ -274,8 +278,8 @@ class CheckpointSession:
     """One slot's checkpoint lifecycle, driven by ``run_local``.
 
     The engine only ever calls two methods on the hot path —
-    :meth:`due` (cheap: an int compare unless a heartbeat is
-    configured) and :meth:`save` — both strictly at round
+    :meth:`due` (cheap: an int compare, plus a clock read when a
+    heartbeat hook is set) and :meth:`save` — both strictly at round
     boundaries.  Everything else (binding, restore, done-memoization)
     happens once per run in ``run_local``.
     """
@@ -291,8 +295,6 @@ class CheckpointSession:
         self._done_result: Any = None
         self._have_done = False
         self._last_saved = 0
-        self._hb_tick = 0
-        self._hb_last = time.monotonic()
 
     # -- paths ---------------------------------------------------------
     @property
@@ -503,12 +505,9 @@ class CheckpointSession:
             ) from exc
 
     def _maybe_heartbeat(self, rounds: int) -> None:
-        self._hb_tick += 1
-        if self._hb_tick & 0x3F:
-            return
         now = time.monotonic()
-        if now - self._hb_last >= self.policy.heartbeat_seconds:
-            self._hb_last = now
+        if now - self.scope.heartbeat_last >= self.policy.heartbeat_seconds:
+            self.scope.heartbeat_last = now
             hb = self.policy.heartbeat
             if hb is not None:
                 hb({"slot": self.slot, "rounds": rounds, "saved": False})

@@ -560,25 +560,6 @@ def run_local(
         return runner(graph, algorithm, model, **options)
     session = scope.next_session()
     plan = fault_plan if fault_plan is not None else _ACTIVE_FAULT_PLAN
-    fault_fp: Optional[Dict[str, Any]] = None
-    if plan is not None:
-        # A stable, process-independent plan identity (never repr():
-        # hook callables embed memory addresses).  The crash schedule
-        # is a list of [vertex, round] pairs, the shape it keeps
-        # through the JSON checkpoint header.
-        fault_fp = {
-            "seed": getattr(plan, "seed", None),
-            "crashes": [
-                [v, at]
-                for v, at in sorted(dict(getattr(plan, "crashes", {})).items())
-            ],
-            "crash_rate": getattr(plan, "crash_rate", None),
-            "crash_round": getattr(plan, "crash_round", None),
-            "drop_rate": getattr(plan, "drop_rate", None),
-            "duplicate_rate": getattr(plan, "duplicate_rate", None),
-            "corrupt_rate": getattr(plan, "corrupt_rate", None),
-            "round_budget": getattr(plan, "round_budget", None),
-        }
     session.bind(
         be,
         _attached_observers(observers),
@@ -591,7 +572,7 @@ def run_local(
             "max_rounds": max_rounds,
             "backend": name,
             "slot": session.slot,
-            "faults": fault_fp,
+            "faults": plan.fingerprint() if plan is not None else None,
         },
     )
     if session.begin():

@@ -21,7 +21,7 @@ that tolerance (experiment E6F) rather than merely avoid it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional
 
 from .runtime import FaultRuntime
 
@@ -116,6 +116,26 @@ class FaultPlan:
             and self.corrupt_rate == 0.0
             and self.round_budget is None
         )
+
+    def fingerprint(self) -> Dict[str, Any]:
+        """This plan's stable, process-independent identity, which
+        checkpoint headers record so a resume never reuses a snapshot
+        taken under another adversary.  Every field but the ``corrupt``
+        hook (never its repr: a callable's repr embeds a memory
+        address); the crash schedule is a list of ``[vertex, round]``
+        pairs, the shape it keeps through the JSON header."""
+        return {
+            "seed": self.seed,
+            "crashes": [
+                [v, at] for v, at in sorted(dict(self.crashes).items())
+            ],
+            "crash_rate": self.crash_rate,
+            "crash_round": self.crash_round,
+            "drop_rate": self.drop_rate,
+            "duplicate_rate": self.duplicate_rate,
+            "corrupt_rate": self.corrupt_rate,
+            "round_budget": self.round_budget,
+        }
 
     def activate(self, meta: "RunMeta") -> FaultRuntime:
         """Engine hook: build this run's mutable fault state."""

@@ -4,9 +4,9 @@
 backend, and the reference implementation) delivers each run to every
 attached :class:`RunObserver` as run boundaries plus one columnar
 :class:`RoundBatch` per round — vertex steps, publishes, halts,
-failures, and faults.  Per-event callbacks are a one-way adapter on
-:class:`RunObserver` (:func:`iter_scalar_events` order).  Everything on
-this plane is held to byte-identity: summaries and trace bytes are
+failures, and faults; :func:`iter_scalar_events` walks a batch event
+by event, in the order the JSONL trace records.  Everything on this
+plane is held to byte-identity: summaries and trace bytes are
 identical across engines, backends, and repeated runs of the same
 seed.
 
@@ -28,9 +28,10 @@ and backend attribution can never be byte-stable, so they live in
 progress renderer, excluded from the byte-identity contract by design.
 
 Observers are read-only spectators: callbacks must not mutate the
-context, graph, or batch arrays they are shown (static-analysis rule
-LM008 flags violations).  See ``docs/observability.md`` for the event
-schema, the ordering contract, and the determinism table.
+run metadata, its graph, or the batch arrays they are shown
+(static-analysis rule LM008 flags violations).  See
+``docs/observability.md`` for the event schema, the ordering contract,
+and the determinism table.
 """
 
 from .export import (

@@ -1,4 +1,4 @@
-"""The observer protocol: round batches, with a per-event adapter.
+"""The observer protocol: one round batch per round.
 
 :class:`RunObserver` is the base class engine observers derive from:
 subclass it, override the callbacks you care about, and pass instances
@@ -25,22 +25,17 @@ observer-neutrality relation pin it):
    only ``on_run_abort``.  Flush-style observers finalize there so
    partial runs keep their telemetry.
 
-**Per-event callbacks** (``on_round_start``, ``on_node_step``,
-``on_publish``, ``on_halt``, ``on_failure``, ``on_fault``,
-``on_round_end``) are a one-way adapter: the default
-:meth:`RunObserver.on_round_batch` replays :func:`iter_scalar_events`
-between ``on_round_start`` and ``on_round_end`` (setup batches have
-no round boundaries), with ``ctx=None`` for ``on_node_step``, and the
-default :meth:`RunObserver.on_run_fault` calls ``on_fault(round, None,
-fault)``.  Per vertex, ascending: delivery faults (drop/duplicate/
-corrupt, ports ascending), then the step, then its publish, then its
-failure *or* halt; a crash-stop vertex has a fault and a failure and
-no step.
+An observer that wants individual events walks a batch with
+:func:`iter_scalar_events`, which yields them in the one order the
+JSONL trace records too.  Per vertex, ascending: delivery faults
+(drop/duplicate/corrupt, ports ascending), then the step, then its
+publish, then its failure *or* halt; a crash-stop vertex has a fault
+and a failure and no step.
 
 Observers are **read-only spectators**.  The columns of a
-:class:`RoundBatch` may be shared with the emitting backend: reading
-is fine, assigning attributes or writing into them is not (rule
-LM008).
+:class:`RoundBatch` and the graph in ``meta`` may be shared with the
+emitting engine: reading is fine, assigning attributes or writing into
+them is not (rule LM008).
 """
 
 from __future__ import annotations
@@ -55,8 +50,7 @@ from typing import (
     Tuple,
 )
 
-from ..core.context import NodeContext
-from ..core.engine import RunMeta, RunResult, SETUP_ROUND
+from ..core.engine import RunMeta, RunResult
 from ..core.errors import FaultEvent
 
 #: Sentinel batch payload meaning "no value recorded".
@@ -66,14 +60,12 @@ _UNSET = object()
 class RunObserver:
     """Base class for engine observers; override what you need.
 
-    The engines call only the six run-level and batch methods (see the
-    module docstring).  The per-event callbacks below them are fed by
-    the default :meth:`on_round_batch` and :meth:`on_run_fault`, so a
-    subclass overrides either the batch methods or the per-event ones;
-    every other callback has an empty default.  One observer instance
-    may watch several runs in sequence (e.g. each phase of a
-    multi-phase driver under :func:`repro.core.observe_runs`);
-    ``on_run_start`` marks each new run's boundary.
+    The engines call the six ``on_*`` methods (see the module
+    docstring), each with an empty default, and the checkpoint hooks
+    when a run is checkpointed.  One observer instance may watch
+    several runs in sequence (e.g. each phase of a multi-phase driver
+    under :func:`repro.core.observe_runs`); ``on_run_start`` marks each
+    new run's boundary.
     """
 
     #: Whether this observer participates in in-run checkpointing (see
@@ -115,35 +107,14 @@ class RunObserver:
         deterministic output must not record it."""
 
     def on_round_batch(self, batch: RoundBatch) -> None:
-        """One completed round (or the setup pass) as a batch.
-
-        The default is the per-event adapter: it replays
-        :func:`iter_scalar_events` between :meth:`on_round_start` and
-        :meth:`on_round_end` (setup batches have no round boundaries),
-        passing ``ctx=None`` to :meth:`on_node_step`."""
-        r = batch.round_index
-        if r != SETUP_ROUND:
-            self.on_round_start(r, batch.active)
-        for event in iter_scalar_events(batch):
-            kind, _, vertex = event[:3]
-            if kind == "step":
-                self.on_node_step(r, vertex, None)
-            elif kind == "publish":
-                self.on_publish(r, vertex, event[3])
-            elif kind == "halt":
-                self.on_halt(r, vertex, event[3])
-            elif kind == "failure":
-                self.on_failure(r, vertex, event[3])
-            else:
-                self.on_fault(r, vertex, event[3])
-        if r != SETUP_ROUND:
-            self.on_round_end(r, batch.awake, batch.halted, batch.messages)
+        """One completed round (or the setup pass) as a batch; walk
+        it with :func:`iter_scalar_events` for individual events."""
 
     def on_run_fault(self, round_index: int, fault: FaultEvent) -> None:
         """A run-level fault (round-budget exhaustion) fired; the run
-        raises right after, so it is never part of a batch.  The
-        default forwards it as ``on_fault(round_index, None, fault)``."""
-        self.on_fault(round_index, None, fault)
+        raises right after, so it is never part of a batch.  ``fault``
+        is the structured :class:`~repro.core.errors.FaultEvent`
+        record — read its ``kind`` / ``detail``; do not raise it."""
 
     def on_run_end(self, result: RunResult) -> None:
         """The run completed with ``result``."""
@@ -156,52 +127,6 @@ class RunObserver:
         before ``on_run_end`` could fire.  Observers that buffer
         output flush here so partial runs keep their telemetry; the
         exception propagates as soon as every observer returns."""
-
-    # -- per-event callbacks, fed by the default on_round_batch -------
-    def on_round_start(self, round_index: int, active: int) -> None:
-        """Round ``round_index`` begins with ``active`` live vertices."""
-
-    def on_node_step(
-        self, round_index: int, vertex: int, ctx: Optional[NodeContext]
-    ) -> None:
-        """Vertex ``vertex`` executed ``step`` this round.  ``ctx`` is
-        ``None``: the event is replayed from the round's batch."""
-
-    def on_publish(
-        self, round_index: int, vertex: int, value: Any
-    ) -> None:
-        """Vertex ``vertex`` published ``value`` (visible next round)."""
-
-    def on_halt(self, round_index: int, vertex: int, output: Any) -> None:
-        """Vertex ``vertex`` halted with ``output``."""
-
-    def on_failure(
-        self, round_index: int, vertex: int, reason: str
-    ) -> None:
-        """Vertex ``vertex`` declared failure with ``reason``."""
-
-    def on_fault(
-        self,
-        round_index: int,
-        vertex: Optional[int],
-        fault: FaultEvent,
-    ) -> None:
-        """An injected fault fired (see :mod:`repro.faults`).
-
-        ``vertex`` is the affected vertex, or ``None`` for run-level
-        faults (round-budget exhaustion).  ``fault`` is the structured
-        :class:`~repro.core.errors.FaultEvent` record — read its
-        ``kind`` / ``port`` / ``detail``; do not raise it."""
-
-    def on_round_end(
-        self,
-        round_index: int,
-        awake: int,
-        halted: int,
-        messages: int,
-    ) -> None:
-        """Round ended: ``awake`` vertices stepped, ``halted`` of them
-        halted, ``messages`` point-to-point messages were delivered."""
 
 
 class RoundBatch:
@@ -315,7 +240,7 @@ class RoundBatch:
 def iter_scalar_events(
     batch: RoundBatch,
 ) -> Iterator[Tuple[Any, ...]]:
-    """A batch's events in the per-event adapter's order.
+    """A batch's events, one tuple each, in the JSONL trace's order.
 
     Yields tuples keyed by event name, per vertex ascending::
 
@@ -327,8 +252,9 @@ def iter_scalar_events(
 
     Per vertex: faults first, then the step (crash-stop vertices never
     step), then its publish, then failure *or* halt.  Round boundaries
-    (``round_start``/``round_end``) are not yielded — the caller owns
-    them.  Setup batches yield publishes/failures/halts only.
+    are not yielded: the batch's own ``round_index``, ``active``,
+    ``awake``, ``halted`` and ``messages`` describe them.  Setup
+    batches yield publishes/failures/halts only.
     """
     r = batch.round_index
     events: List[Tuple[int, int, Tuple[Any, ...]]] = []

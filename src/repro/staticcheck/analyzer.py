@@ -47,9 +47,6 @@ class AnalysisResult:
             d for d in self.diagnostics if d.severity is Severity.ERROR
         ]
 
-    def by_rule(self, rule_id: str) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.rule_id == rule_id]
-
     def to_dict(self) -> dict:
         return {
             "version": JSON_VERSION,

@@ -29,7 +29,7 @@ analyzer never imports the code it checks.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..callgraph import CallGraph
 from ..diagnostics import Diagnostic
@@ -93,7 +93,3 @@ def analyzed_driver_names(graph: CallGraph) -> Set[str]:
             names.add(contract.driver)
     return names
 
-
-def iter_contract_names(contracts: Iterable[Contract]) -> Set[str]:
-    """Distinct driver/subject names declared by ``contracts``."""
-    return {c.driver for c in contracts}

@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Union
 
 from ..callgraph import FunctionNode
 from ..modules import ModuleInfo
-from ..rules import _ctx_param_names
+from ..rules import _params_like
 
 
 class TargetKind(enum.Enum):
@@ -152,7 +152,7 @@ class _Lowerer:
     ) -> None:
         self.module = module
         self.class_name = class_name
-        self.ctx_names = sorted(_ctx_param_names(node))
+        self.ctx_names = sorted(_params_like(node, "ctx", "NodeContext"))
         params = _param_names(node)
         self.self_name: Optional[str] = None
         if class_name is not None and params:

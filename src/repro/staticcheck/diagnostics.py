@@ -2,15 +2,15 @@
 
 A :class:`Diagnostic` is one finding: a rule id, a location, a severity,
 a human message, and a fix hint.  Findings are plain data — the CLI
-renders them as text or JSON, the test suite round-trips them, and CI
-keys its exit status off :func:`max_severity`.
+renders them as text, JSON or SARIF, and CI keys its exit status off
+:func:`max_severity`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 
 class Severity(enum.Enum):
@@ -18,13 +18,6 @@ class Severity(enum.Enum):
 
     ERROR = "error"
     WARNING = "warning"
-
-    @classmethod
-    def from_str(cls, text: str) -> "Severity":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError(f"unknown severity: {text!r}")
 
 
 @dataclass(frozen=True)
@@ -73,18 +66,6 @@ class Diagnostic:
             "chain": list(self.chain),
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Diagnostic":
-        return cls(
-            rule_id=str(data["rule_id"]),
-            severity=Severity.from_str(str(data["severity"])),
-            path=str(data["path"]),
-            line=int(data["line"]),
-            message=str(data["message"]),
-            hint=str(data.get("hint", "")),
-            chain=tuple(data.get("chain", ())),
-        )
-
     def render(self) -> str:
         parts = [
             f"{self.location()}: {self.severity.value} "
@@ -98,7 +79,7 @@ class Diagnostic:
 
 
 #: Keys every serialized diagnostic carries (the JSON output contract,
-#: asserted by the round-trip tests).
+#: asserted by ``TestJsonOutput``).
 DIAGNOSTIC_JSON_KEYS = (
     "rule_id",
     "severity",

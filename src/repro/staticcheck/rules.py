@@ -20,8 +20,9 @@ LM005     warning   wall-clock / OS entropy / unordered-set iteration in
 LM006     warning   publishing values derived from ``ctx.now``
 LM007     warning   per-round topology-helper calls in node code the
                     engine already precomputes (adjacency, reverse ports)
-LM008     warning   observer callbacks mutating ctx/graph state
-                    (observers must be read-only spectators)
+LM008     warning   observer callbacks mutating the run metadata, its
+                    graph or a round batch (observers must be
+                    read-only spectators)
 LM009     warning   node code swallowing injected faults (bare
                     ``except:`` or handlers naming Exception /
                     FaultEvent-family bases)
@@ -126,10 +127,10 @@ RULES: Dict[str, RuleSpec] = {
             Severity.WARNING,
             "observer callback mutates engine state",
             "observers are read-only spectators: a callback that "
-            "mutates the live ctx (or draws from ctx.random), the "
-            "graph, or a RoundBatch's payload arrays changes the run "
-            "it claims to measure, voiding the telemetry determinism "
-            "contract (docs/observability.md).",
+            "mutates the run metadata, the live graph it carries, or "
+            "a RoundBatch's payload arrays changes the run it claims "
+            "to measure, voiding the telemetry determinism contract "
+            "(docs/observability.md).",
         ),
         RuleSpec(
             "LM009",
@@ -176,25 +177,22 @@ RULES: Dict[str, RuleSpec] = {
     )
 }
 
-#: The RunObserver callbacks (see repro/obs/observer.py); a class
-#: defining any of these is treated as an observer by LM008.  The
-#: RoundBatch columns handed to ``on_round_batch`` are engine-owned
-#: views, as read-only as ctx and the graph.
+#: The callbacks every engine calls on an observer (see
+#: repro/obs/observer.py); a class defining any of these is treated as
+#: an observer by LM008.
 _OBSERVER_CALLBACKS = {
     "on_run_start",
     "on_backend_info",
     "on_round_batch",
     "on_run_fault",
     "on_run_end",
-    # Per-event callbacks, fed by RunObserver's default on_round_batch.
-    "on_round_start",
-    "on_node_step",
-    "on_publish",
-    "on_halt",
-    "on_failure",
-    "on_fault",
-    "on_round_end",
+    "on_run_abort",
 }
+
+#: The engine-owned parameters of those callbacks, as ``(name, type)``:
+#: the run metadata (``meta.graph`` is the live graph) and the
+#: RoundBatch, whose columns may be views of the engine's buffers.
+_OBSERVED_PARAMS = (("meta", "RunMeta"), ("batch", "RoundBatch"))
 
 #: Exception names whose handlers (in node code) also catch the
 #: injected-fault taxonomy — the LM009 pattern.  FaultEvent subclasses
@@ -207,16 +205,6 @@ _BROAD_FAULT_CATCHES = {
     "SimulationError",
     "FaultEvent",
     "BudgetExceededError",
-}
-
-#: NodeContext lifecycle methods; calling one from an observer callback
-#: steers the run instead of watching it.
-_CTX_LIFECYCLE = {
-    "publish",
-    "halt",
-    "fail",
-    "sleep_until",
-    "_commit",
 }
 
 #: Graph-level helpers the engine precomputes per run; calling them per
@@ -306,14 +294,16 @@ _MUTATORS = {
 }
 
 
-def _ctx_param_names(fn: FunctionNode) -> Set[str]:
-    """Parameters holding a NodeContext: named ``ctx`` or annotated so."""
+def _params_like(fn: FunctionNode, name: str, type_name: str) -> Set[str]:
+    """Parameters called ``name`` or annotated with a type whose name
+    contains ``type_name`` (``ctx`` / ``NodeContext``, ``batch`` /
+    ``RoundBatch``, ...)."""
     names: Set[str] = set()
     args = list(fn.args.posonlyargs) + list(fn.args.args) + list(
         fn.args.kwonlyargs
     )
     for arg in args:
-        if arg.arg == "ctx":
+        if arg.arg == name:
             names.add(arg.arg)
             continue
         ann = arg.annotation
@@ -324,7 +314,7 @@ def _ctx_param_names(fn: FunctionNode) -> Set[str]:
             text = ann.attr
         elif isinstance(ann, ast.Constant) and isinstance(ann.value, str):
             text = ann.value
-        if "NodeContext" in text:
+        if type_name in text:
             names.add(arg.arg)
     return names
 
@@ -382,7 +372,7 @@ class RuleEngine:
                     node=node,
                     module=module,
                     chain=chain,
-                    ctx_names=_ctx_param_names(node),
+                    ctx_names=_params_like(node, "ctx", "NodeContext"),
                 )
             )
         return sites
@@ -830,26 +820,13 @@ class RuleEngine:
     def _check_lm008(self) -> Iterator[Diagnostic]:
         for cls_name in sorted(self.graph.classes):
             cls = self.graph.classes[cls_name]
-            callbacks = {
-                name: node
-                for name, node in cls.methods.items()
-                if name in _OBSERVER_CALLBACKS
-            }
-            if not callbacks:
-                continue
-            for name in sorted(callbacks):
-                method = callbacks[name]
-                ctx_names = _ctx_param_names(method)
-                tracked = (
-                    ctx_names
-                    | _graph_param_names(method)
-                    | _batch_param_names(method)
-                )
-                if not tracked:
-                    continue
-                yield from self._lm008_method(
-                    cls, name, method, tracked, ctx_names
-                )
+            for name in sorted(set(cls.methods) & _OBSERVER_CALLBACKS):
+                method = cls.methods[name]
+                tracked: Set[str] = set()
+                for param, type_name in _OBSERVED_PARAMS:
+                    tracked |= _params_like(method, param, type_name)
+                if tracked:
+                    yield from self._lm008_method(cls, name, method, tracked)
 
     def _lm008_method(
         self,
@@ -857,27 +834,25 @@ class RuleEngine:
         name: str,
         method: FunctionNode,
         tracked: Set[str],
-        ctx_names: Set[str],
     ) -> Iterator[Diagnostic]:
         spec = RULES["LM008"]
         where = f"{cls.name}.{name}"
 
-        def emit(node: ast.AST, message: str, hint: str) -> Diagnostic:
+        def emit(node: ast.AST, message: str) -> Diagnostic:
             return Diagnostic(
                 rule_id="LM008",
                 severity=spec.severity,
                 path=str(cls.module.path),
                 line=getattr(node, "lineno", method.lineno),
                 message=message,
-                hint=hint,
+                hint=(
+                    "observers are read-only spectators; keep mutable "
+                    "state on the observer instance (self), never on "
+                    "the run metadata, its graph or the round batch"
+                ),
                 chain=(where,),
             )
 
-        hint = (
-            "observers are read-only spectators; keep mutable state "
-            "on the observer instance (self), never on ctx or the "
-            "graph"
-        )
         for node in ast.walk(method):
             if isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = (
@@ -892,47 +867,20 @@ class RuleEngine:
                             node,
                             f"observer callback {where!r} assigns "
                             f"into {root!r} (live engine state)",
-                            hint,
                         )
-            elif isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _MUTATORS
             ):
-                func = node.func
-                if (
-                    func.attr in _CTX_LIFECYCLE
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in ctx_names
-                ):
+                root = _expr_root_name(node.func.value)
+                if root is not None and root in tracked:
                     yield emit(
                         node,
-                        f"observer callback {where!r} calls "
-                        f"ctx.{func.attr}() — steering the run, not "
-                        "watching it",
-                        hint,
+                        f"observer callback {where!r} mutates "
+                        f"{root!r} via .{node.func.attr}() (live "
+                        "engine state)",
                     )
-                elif (
-                    isinstance(func.value, ast.Attribute)
-                    and func.value.attr == "random"
-                    and isinstance(func.value.value, ast.Name)
-                    and func.value.value.id in ctx_names
-                ):
-                    yield emit(
-                        node,
-                        f"observer callback {where!r} draws from "
-                        "ctx.random — consuming the vertex's private "
-                        "random stream changes the observed run",
-                        hint,
-                    )
-                elif func.attr in _MUTATORS:
-                    root = _expr_root_name(func.value)
-                    if root is not None and root in tracked:
-                        yield emit(
-                            node,
-                            f"observer callback {where!r} mutates "
-                            f"{root!r} via .{func.attr}() (live "
-                            "engine state)",
-                            hint,
-                        )
 
 
 def _handler_exception_names(node: ast.expr) -> List[str]:
@@ -949,55 +897,6 @@ def _handler_exception_names(node: ast.expr) -> List[str]:
     if isinstance(node, ast.Attribute):
         return [node.attr]
     return []
-
-
-def _graph_param_names(fn: FunctionNode) -> Set[str]:
-    """Parameters holding a Graph: named ``graph`` or annotated so."""
-    names: Set[str] = set()
-    args = list(fn.args.posonlyargs) + list(fn.args.args) + list(
-        fn.args.kwonlyargs
-    )
-    for arg in args:
-        if arg.arg == "graph":
-            names.add(arg.arg)
-            continue
-        ann = arg.annotation
-        text = ""
-        if isinstance(ann, ast.Name):
-            text = ann.id
-        elif isinstance(ann, ast.Attribute):
-            text = ann.attr
-        elif isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-            text = ann.value
-        if "Graph" in text:
-            names.add(arg.arg)
-    return names
-
-
-def _batch_param_names(fn: FunctionNode) -> Set[str]:
-    """Parameters holding a RoundBatch: named ``batch`` or annotated
-    so.  Batch payload arrays are engine-owned (the vectorized backend
-    hands out views of its live buffers); writing into them corrupts
-    the run being observed."""
-    names: Set[str] = set()
-    args = list(fn.args.posonlyargs) + list(fn.args.args) + list(
-        fn.args.kwonlyargs
-    )
-    for arg in args:
-        if arg.arg == "batch":
-            names.add(arg.arg)
-            continue
-        ann = arg.annotation
-        text = ""
-        if isinstance(ann, ast.Name):
-            text = ann.id
-        elif isinstance(ann, ast.Attribute):
-            text = ann.attr
-        elif isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-            text = ann.value
-        if "RoundBatch" in text:
-            names.add(arg.arg)
-    return names
 
 
 def _expr_root_name(node: ast.expr) -> Optional[str]:

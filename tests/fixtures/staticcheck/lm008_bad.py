@@ -1,62 +1,27 @@
-"""Seeded LM008 violations: observer callbacks mutating the live ctx
-or graph state they are only supposed to watch."""
+"""Seeded LM008 violations: observer callbacks writing into the run
+metadata, the live graph it carries, or the round-batch columns they
+are only supposed to read."""
 
 from repro.obs import RunObserver
 
 
-class SteeringObserver(RunObserver):
-    """Calls lifecycle methods and writes through ctx — steering the
-    run instead of observing it."""
-
-    def on_node_step(self, round_index, vertex, ctx):
-        # seeded: lifecycle call from an observer
-        ctx.halt(vertex)
-        # seeded: attribute store through ctx
-        ctx.output = round_index
-
-    def on_publish(self, round_index, vertex, value):
-        self.seen = value
-
-
-class StateScribbler(RunObserver):
-    """Mutates ctx.state containers and drains the RNG stream."""
-
-    def on_node_step(self, round_index, vertex, ctx):
-        # seeded: subscript store through ctx.state
-        ctx.state["observed"] = round_index
-        # seeded: container mutation rooted at ctx
-        ctx.state["log"].append(vertex)
-        # seeded: consuming the vertex's private random stream
-        return ctx.random.random()
-
-
-class GraphEditor:
-    """Duck-typed observer (no RunObserver base) scribbling on the
-    graph handed over in run metadata."""
+class GraphEditor(RunObserver):
+    """Scribbles on the live graph handed over in the run metadata."""
 
     def on_run_start(self, meta):
-        self.meta = meta
-
-    def on_round_start(self, round_index, active):
-        self.active = active
-
-    def on_halt(self, round_index, vertex, output, graph=None):
-        # seeded: attribute store through a graph parameter
-        graph.labels[vertex] = output
+        # seeded: attribute store through meta.graph
+        meta.graph._n = 0
+        # seeded: container mutation rooted at meta
+        meta.graph._adj[0].append(1)
 
 
-class PoliteWatcher(RunObserver):
-    """Clean control: reads everything, touches only self."""
+class MetaStamper:
+    """Duck-typed observer (no RunObserver base); its metadata param is
+    recognized by annotation, not by name."""
 
-    def __init__(self):
-        self.halts = []
-        self.pending = {}
-
-    def on_node_step(self, round_index, vertex, ctx):
-        self.pending[vertex] = ctx.pending_publish
-
-    def on_halt(self, round_index, vertex, output):
-        self.halts.append((round_index, vertex, output))
+    def on_run_start(self, info: "RunMeta"):
+        # seeded: attribute store through an annotated meta param
+        info.seed = 0
 
 
 class BatchScribbler:
@@ -79,6 +44,23 @@ class AnnotatedBatchEditor:
 
     def on_backend_info(self, backend, kernel):
         self.backend = backend
+
+
+class PoliteWatcher(RunObserver):
+    """Clean control: reads the metadata, its graph and every batch;
+    touches only self."""
+
+    def __init__(self):
+        self.degrees = []
+        self.halts = []
+
+    def on_run_start(self, meta):
+        graph = meta.graph
+        self.degrees = [graph.degree(v) for v in graph.vertices()]
+
+    def on_round_batch(self, batch):
+        for vertex, output in zip(batch.halted_verts, batch.halt_values):
+            self.halts.append((batch.round_index, vertex, output))
 
 
 class PoliteBatchWatcher:

@@ -108,28 +108,18 @@ class TestSweep:
         assert series.points[0].mean == 10.5
         assert series.points[2].minimum == 30.0
 
-    def test_skip_failures(self):
-        def measure(x, seed):
-            if seed == 0:
-                raise AlgorithmFailure("declared failure")
-            return x
-
-        series = run_sweep(
-            "flaky", [5], measure, seeds=(0, 1), skip_failures=True
-        )
-        assert series.points[0].values == [5.0]
-
-    def test_skip_failures_only_swallows_declared_failures(self):
-        """A genuine bug (TypeError, ModelViolationError, ...) must
-        surface even in a skip_failures sweep."""
+    def test_genuine_bugs_propagate(self):
+        """A genuine bug (TypeError, ModelViolationError, ...) surfaces
+        as itself, never retried as a declared failure."""
+        calls = []
 
         def measure(x, seed):
+            calls.append(seed)
             raise TypeError("genuine bug")
 
         with pytest.raises(TypeError):
-            run_sweep(
-                "buggy", [1], measure, seeds=(0,), skip_failures=True
-            )
+            run_sweep("buggy", [1], measure, seeds=(0,), retries=2)
+        assert calls == [0]
 
     def test_declared_failure_raises_without_skip(self):
         def measure(x, seed):
@@ -142,8 +132,11 @@ class TestSweep:
         def measure(x, seed):
             raise AlgorithmFailure("boom")
 
-        with pytest.raises(Exception):
-            run_sweep("dead", [1], measure, seeds=(0,), skip_failures=True)
+        for workers in (None, 2):
+            with pytest.raises(AlgorithmFailure, match="boom"):
+                run_sweep(
+                    "dead", [1, 2], measure, seeds=(0, 1), workers=workers
+                )
 
     def test_workers_bit_identical_to_serial(self):
         """The determinism contract: a 4-worker sweep returns the same
@@ -161,40 +154,27 @@ class TestSweep:
         for a, b in zip(serial.points, parallel.points):
             assert a.values == b.values
 
-    def test_workers_skip_failures(self):
+    def test_workers_raise_declared_failures(self):
+        """One declared failure aborts the sweep, serial or pooled,
+        with the failure's own message."""
+
         def measure(x, seed):
             if seed == 1:
                 raise AlgorithmFailure("declared failure")
             return x + seed
 
-        serial = run_sweep(
-            "f", [7, 8], measure, seeds=(0, 1, 2), skip_failures=True
-        )
-        parallel = run_sweep(
-            "f",
-            [7, 8],
-            measure,
-            seeds=(0, 1, 2),
-            skip_failures=True,
-            workers=3,
-        )
-        assert [p.values for p in serial.points] == [
-            [7.0, 9.0],
-            [8.0, 10.0],
-        ]
-        assert [p.values for p in parallel.points] == [
-            p.values for p in serial.points
-        ]
+        for workers in (None, 3):
+            with pytest.raises(AlgorithmFailure, match="declared failure"):
+                run_sweep(
+                    "f", [7, 8], measure, seeds=(0, 1, 2), workers=workers
+                )
 
     def test_workers_propagate_genuine_bugs(self):
         def measure(x, seed):
             raise ValueError("genuine bug in a worker")
 
         with pytest.raises(ValueError):
-            run_sweep(
-                "b", [1, 2], measure, seeds=(0, 1), workers=2,
-                skip_failures=True,
-            )
+            run_sweep("b", [1, 2], measure, seeds=(0, 1), workers=2)
 
     def test_series_empty_sample_rejected(self):
         series = Series("s")

@@ -615,17 +615,23 @@ class TestSweepBackendThreading:
         base = run_sweep(
             "s", [8.0, 12.0], self._measure, seeds=(0, 1)
         )
-        pinned = run_sweep(
-            "s", [8.0, 12.0], self._measure, seeds=(0, 1),
-            backend="reference",
-        )
+        with use_backend("reference"):
+            pinned = run_sweep(
+                "s", [8.0, 12.0], self._measure, seeds=(0, 1)
+            )
         assert base.as_dict() == pinned.as_dict()
 
-    def test_unknown_backend_rejected_before_any_cell_runs(self):
+    def test_unknown_backend_rejected_before_any_cell_runs(
+        self, monkeypatch
+    ):
         from repro.analysis.experiments import run_sweep
 
+        def measure(x, seed):
+            raise AssertionError("a cell ran under an unknown backend")
+
+        monkeypatch.setenv(BACKEND_ENV_VAR, "warp-drive")
         with pytest.raises(ReproError, match="unknown engine backend"):
-            run_sweep("s", [6.0], self._measure, backend="warp-drive")
+            run_sweep("s", [6.0], measure)
 
     def test_journal_fingerprint_pins_backend(self, tmp_path):
         """Resuming a journaled sweep under a different backend must be
@@ -633,14 +639,15 @@ class TestSweepBackendThreading:
         from repro.analysis.experiments import run_sweep
 
         journal = str(tmp_path / "sweep.jsonl")
-        run_sweep(
-            "s", [6.0], self._measure, seeds=(0,), journal=journal,
-            backend="fast",
-        )
-        with pytest.raises(ValueError, match="fingerprint"):
+        with use_backend("fast"):
             run_sweep(
-                "s", [6.0], self._measure, seeds=(0,),
-                journal=journal, backend="reference",
+                "s", [6.0], self._measure, seeds=(0,), journal=journal
+            )
+        with use_backend("reference"), pytest.raises(
+            ValueError, match="fingerprint"
+        ):
+            run_sweep(
+                "s", [6.0], self._measure, seeds=(0,), journal=journal
             )
 
     def test_ambient_scope_is_captured_in_fingerprint(self, tmp_path):
@@ -686,10 +693,10 @@ class TestSweepBackendThreading:
             return sum(1 for out in result.outputs if out == -1)
 
         serial = run_sweep("bad", [60.0, 90.0], measure, seeds=(0, 1))
-        pooled = run_sweep(
-            "bad", [60.0, 90.0], measure, seeds=(0, 1),
-            workers=2, backend="vectorized",
-        )
+        with use_backend("vectorized"):
+            pooled = run_sweep(
+                "bad", [60.0, 90.0], measure, seeds=(0, 1), workers=2
+            )
         assert serial.as_dict() == pooled.as_dict()
 
 
@@ -757,21 +764,21 @@ class TestBackendSurfaces:
 
         for name in available_backend_names():
             journal = str(tmp_path / f"sweep-{name}.jsonl")
-            run_sweep(
-                "s", [6.0], measure, seeds=(0,), journal=journal,
-                backend=name,
-            )
-            run_sweep(  # same backend: clean resume
-                "s", [6.0], measure, seeds=(0,), journal=journal,
-                backend=name,
-            )
+            with use_backend(name):
+                run_sweep(
+                    "s", [6.0], measure, seeds=(0,), journal=journal
+                )
+                run_sweep(  # same backend: clean resume
+                    "s", [6.0], measure, seeds=(0,), journal=journal
+                )
             other = next(
                 n for n in available_backend_names() if n != name
             )
-            with pytest.raises(ValueError, match="fingerprint"):
+            with use_backend(other), pytest.raises(
+                ValueError, match="fingerprint"
+            ):
                 run_sweep(
-                    "s", [6.0], measure, seeds=(0,), journal=journal,
-                    backend=other,
+                    "s", [6.0], measure, seeds=(0,), journal=journal
                 )
 
     def test_every_backend_supports_checkpoint_capture(self):

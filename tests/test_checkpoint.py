@@ -377,6 +377,34 @@ def test_stale_fingerprint_starts_fresh_not_wrong(tmp_path):
         assert scope.events[0]["reason"] == "stale-ckpt", scope.events
 
 
+def test_fault_plan_fingerprint_covers_every_field(tmp_path):
+    """Snapshot headers identify the adversary by
+    ``FaultPlan.fingerprint()``: a plan field missing from it would let
+    a resume reuse a snapshot taken under another plan.  Only the
+    ``corrupt`` hook is left out (its repr embeds a memory address)."""
+    import dataclasses
+
+    plan = FaultPlan(
+        seed=3, crashes={5: 1, 2: 4}, crash_rate=0.25, round_budget=40
+    )
+    fields = {f.name for f in dataclasses.fields(FaultPlan)}
+    assert set(plan.fingerprint()) == fields - {"corrupt"}
+    assert plan.fingerprint() == {
+        "seed": 3,
+        "crashes": [[2, 4], [5, 1]],
+        "crash_rate": 0.25,
+        "crash_round": 0,
+        "drop_rate": 0.0,
+        "duplicate_rate": 0.0,
+        "corrupt_rate": 0.0,
+        "round_budget": 40,
+    }
+    with checkpointing(str(tmp_path), every_rounds=1):
+        run_noisy(fault_plan=plan)
+    header, _ = load_checkpoint(tmp_path / "slot-0000.done")
+    assert header["fingerprint"]["faults"] == plan.fingerprint()
+
+
 def test_corrupted_snapshot_is_loud_on_resume(tmp_path):
     with checkpointing(str(tmp_path), every_rounds=1):
         with pytest.raises(_Kill):

@@ -63,7 +63,7 @@ from repro.graphs.generators import (
     random_tree_prufer,
     ring_of_cycles,
 )
-from repro.obs import RunObserver
+from tests.test_obs import Recorder
 
 
 def backend_params():
@@ -96,39 +96,15 @@ def assert_results_identical(fast, reference):
     assert fast.failures == reference.failures
 
 
-class _EventRecorder(RunObserver):
-    """Minimal per-event observer capturing every event as a comparable
-    tuple — extends the equivalence contract to the telemetry stream.
-    A real ``RunObserver``, so it rides every backend natively."""
-
-    def __init__(self):
-        self.events = []
+class _EventRecorder(Recorder):
+    """The full per-vertex event stream as comparable tuples — steps,
+    publishes, halts, failures, faults, round boundaries and run
+    faults — extending the equivalence contract to the telemetry
+    stream.  A real ``RunObserver``, so it rides every backend
+    natively."""
 
     def on_run_start(self, meta):
         self.events.append(("run_start", meta.algorithm, meta.n))
-
-    def on_round_start(self, round_index, active):
-        self.events.append(("round_start", round_index, active))
-
-    def on_node_step(self, round_index, vertex, ctx):
-        self.events.append(("step", round_index, vertex))
-
-    def on_publish(self, round_index, vertex, value):
-        self.events.append(("publish", round_index, vertex, value))
-
-    def on_halt(self, round_index, vertex, output):
-        self.events.append(("halt", round_index, vertex, output))
-
-    def on_failure(self, round_index, vertex, reason):
-        self.events.append(("failure", round_index, vertex, reason))
-
-    def on_fault(self, round_index, vertex, fault):
-        self.events.append(("fault", round_index, vertex, str(fault)))
-
-    def on_round_end(self, round_index, awake, halted, messages):
-        self.events.append(
-            ("round_end", round_index, awake, halted, messages)
-        )
 
     def on_run_end(self, result):
         self.events.append(("run_end", result.rounds))
@@ -323,6 +299,29 @@ class TestSyntheticEquivalence:
             events.append(rec.events)
         assert events[0] == events[1]
         assert ("round_end", 2, 0, 0, 2 * graph.num_edges) in events[0]
+
+    def test_injected_faults_match_event_for_event(self, backend):
+        """Drops, stale duplicates and crash-stops: every fault event
+        and the failure it causes sit at the same place in the stream
+        as on the reference engine."""
+        graph = cycle_graph(60)
+        inputs = [{"klass": (v * 7) % 23} for v in range(60)]
+        plan = FaultPlan(
+            seed=4, drop_rate=0.2, duplicate_rate=0.2, crashes={3: 0, 11: 5}
+        )
+        streams = []
+        for run in (run_local, run_local_reference):
+            rec = _EventRecorder()
+            kwargs = {"backend": backend} if run is run_local else {}
+            result = run(
+                graph, StaggeredSleeper(), Model.DET, node_inputs=inputs,
+                fault_plan=plan, observers=[rec], **kwargs
+            )
+            streams.append(rec.events)
+        assert streams[0] == streams[1]
+        faults = " ".join(e[3] for e in streams[0] if e[0] == "fault")
+        assert "dropped" in faults and "stale duplicate" in faults
+        assert sorted(result.failures) == [3, 11]
 
     def test_repeated_sleep_cycles(self, backend):
         graph = ring_of_cycles(4, 5)

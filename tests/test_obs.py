@@ -37,13 +37,17 @@ from repro.obs import (
     MetricsRegistry,
     RunObserver,
     estimate_payload_bytes,
+    iter_scalar_events,
     merge_summaries,
     read_trace,
 )
 
 
 class Recorder(RunObserver):
-    """Append every event as a comparable tuple."""
+    """Append every event as a comparable tuple: run and round
+    boundaries, and each batch's events as :func:`iter_scalar_events`
+    yields them (a fault by its string form, a run-level fault with
+    vertex ``None``)."""
 
     def __init__(self):
         self.events = []
@@ -62,25 +66,21 @@ class Recorder(RunObserver):
             )
         )
 
-    def on_round_start(self, round_index, active):
-        self.events.append(("round_start", round_index, active))
+    def on_round_batch(self, batch):
+        r = batch.round_index
+        if r != SETUP_ROUND:
+            self.events.append(("round_start", r, batch.active))
+        for event in iter_scalar_events(batch):
+            if event[0] == "fault":
+                event = event[:3] + (str(event[3]),)
+            self.events.append(event)
+        if r != SETUP_ROUND:
+            self.events.append(
+                ("round_end", r, batch.awake, batch.halted, batch.messages)
+            )
 
-    def on_node_step(self, round_index, vertex, ctx):
-        self.events.append(("step", round_index, vertex))
-
-    def on_publish(self, round_index, vertex, value):
-        self.events.append(("publish", round_index, vertex, value))
-
-    def on_halt(self, round_index, vertex, output):
-        self.events.append(("halt", round_index, vertex, output))
-
-    def on_failure(self, round_index, vertex, reason):
-        self.events.append(("failure", round_index, vertex, reason))
-
-    def on_round_end(self, round_index, awake, halted, messages):
-        self.events.append(
-            ("round_end", round_index, awake, halted, messages)
-        )
+    def on_run_fault(self, round_index, fault):
+        self.events.append(("fault", round_index, None, str(fault)))
 
     def on_run_end(self, result):
         self.events.append(

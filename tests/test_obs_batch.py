@@ -2,9 +2,9 @@
 
 Plane 1 (deterministic): every engine delivers round batches, the
 vectorized backend feeds attached observers natively — no fallback,
-per-event observers included — and the summaries/trace bytes it
+per-event recorders included — and the summaries/trace bytes it
 produces must be byte-identical to the per-node engines'.  Covers the
-per-event adapter, the crash/budget fault paths, raising runs,
+batch event order, the crash/budget fault paths, raising runs,
 zero-round runs, summary v2 merge fail-loudness, trace schema v1–v3
 fixtures, and the streaming query layer.
 
@@ -64,6 +64,7 @@ from repro.obs.timing import (
     TimingSidecarObserver,
     read_timing_sidecar,
 )
+from tests.test_obs import Recorder
 
 NUMPY_AVAILABLE = "vectorized" in available_backend_names()
 
@@ -125,37 +126,6 @@ class Sleeper(SyncAlgorithm):
 
     def step(self, ctx, inbox):  # pragma: no cover - never runs
         raise AssertionError("stepped a halted vertex")
-
-
-class _EventRecorder(RunObserver):
-    """A per-event observer: records what the adapter replays, the
-    ``ctx`` it passes included."""
-
-    def __init__(self):
-        self.events = []
-
-    def on_round_start(self, round_index, active):
-        self.events.append(("round_start", round_index, active))
-
-    def on_node_step(self, round_index, vertex, ctx):
-        self.events.append(("step", round_index, vertex, ctx))
-
-    def on_publish(self, round_index, vertex, value):
-        self.events.append(("publish", round_index, vertex, value))
-
-    def on_halt(self, round_index, vertex, output):
-        self.events.append(("halt", round_index, vertex, output))
-
-    def on_failure(self, round_index, vertex, reason):
-        self.events.append(("failure", round_index, vertex, reason))
-
-    def on_fault(self, round_index, vertex, fault):
-        self.events.append(("fault", round_index, vertex, fault.kind))
-
-    def on_round_end(self, round_index, awake, halted, messages):
-        self.events.append(
-            ("round_end", round_index, awake, halted, messages)
-        )
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +206,7 @@ class TestVectorizedBatchedObservers:
         streams = []
         for backend in ("fast", "vectorized"):
             metrics = MetricsObserver()
-            recorder = _EventRecorder()
+            recorder = Recorder()
             run_local(
                 graph,
                 ColorBiddingAlgorithm(),
@@ -249,7 +219,7 @@ class TestVectorizedBatchedObservers:
             assert metrics.summary() == fast[0]
             streams.append(recorder.events)
         assert streams[0] == streams[1]
-        assert ("step", 0, 0, None) in streams[1]
+        assert ("step", 0, 0) in streams[1]
 
     def test_zero_round_run_emits_setup_batch(self):
         # Sleeper has no vectorized kernel, so the backend legitimately
@@ -284,7 +254,7 @@ class TestVectorizedBatchedObservers:
 
 
 # ----------------------------------------------------------------------
-# Plane 1: the per-node engines' batches and the per-event adapter
+# Plane 1: the per-node engines' batches and their event order
 # ----------------------------------------------------------------------
 class TestScalarShim:
     def test_shim_batches_match_scalar_events(self):
@@ -331,9 +301,9 @@ class TestScalarShim:
             ("halt", 2),
         ]
 
-    def test_adapter_passes_no_ctx_and_forwards_run_faults(self):
+    def test_run_fault_follows_the_last_round_batch(self):
         graph, params = _color_bidding_tree(n=60)
-        recorder = _EventRecorder()
+        recorder = Recorder()
         with pytest.raises(BudgetExceededError):
             run_local(
                 graph,
@@ -344,10 +314,10 @@ class TestScalarShim:
                 fault_plan=FaultPlan(seed=5, round_budget=2),
                 observers=[recorder],
             )
-        steps = [e for e in recorder.events if e[0] == "step"]
-        assert steps and all(e[3] is None for e in steps)
         assert recorder.events[-2][:2] == ("round_end", 1)
-        assert recorder.events[-1] == ("fault", 2, None, "budget")
+        kind, round_index, vertex, fault = recorder.events[-1]
+        assert (kind, round_index, vertex) == ("fault", 2, None)
+        assert "budget" in fault
 
     def test_shim_and_metrics_agree_across_engines(self):
         graph, params = _color_bidding_tree(n=60)

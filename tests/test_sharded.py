@@ -45,7 +45,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.runtime import mix64
 from repro.graphs.generators import cycle_graph, random_tree_bounded_degree
 from repro.obs import JsonlTraceObserver, MetricsObserver
-from repro.obs.observer import RunObserver
+from repro.obs.observer import RunObserver, iter_scalar_events
 from repro.verify import (
     make_instance,
     run_outcome,
@@ -396,13 +396,15 @@ def test_simultaneous_shard_errors_raise_the_lowest_vertex():
 
 
 class _ScalarRecorder(RunObserver):
-    """A per-event observer, fed by the adapter on every backend."""
+    """Counts the per-vertex step events of every round batch."""
 
     def __init__(self):
         self.steps = 0
 
-    def on_node_step(self, round_index, vertex, ctx):
-        self.steps += 1
+    def on_round_batch(self, batch):
+        self.steps += sum(
+            1 for event in iter_scalar_events(batch) if event[0] == "step"
+        )
 
 
 @requires_fork

@@ -13,7 +13,8 @@ import time
 
 import pytest
 
-from repro.core import observe_runs
+from repro.core import Model, SyncAlgorithm, observe_runs, run_local
+from repro.graphs.generators import path_graph
 from repro.supervise import RunOutcome, SupervisorEvent, supervise_run
 from repro.supervise import _rss_kb
 from tests.test_checkpoint import KillSwitch, run_noisy
@@ -138,6 +139,54 @@ def test_watchdog_kills_hung_child(tmp_path):
     assert not outcome.ok
     assert "no heartbeat" in outcome.error
     assert "watchdog_kill" in [e.kind for e in outcome.events]
+
+
+class SlowRounds(SyncAlgorithm):
+    """~50 ms per round for ``rounds`` rounds on any graph."""
+
+    name = "slow-rounds"
+
+    def __init__(self, rounds):
+        self.rounds = rounds
+
+    def setup(self, ctx):
+        ctx.publish(0)
+
+    def step(self, ctx, inbox):
+        if ctx.id == 0:
+            time.sleep(0.05)
+        if ctx.now + 1 >= self.rounds:
+            ctx.halt(ctx.now)
+        else:
+            ctx.publish(ctx.now)
+
+
+@pytest.mark.parametrize("phases, rounds", [(1, 30), (5, 8)])
+def test_watchdog_spares_a_slow_healthy_run(tmp_path, phases, rounds):
+    """A healthy run of few, slow rounds (~1.5-2 s, no snapshot due)
+    outlives a 1 s watchdog only if every round boundary may send a
+    heartbeat on the clock — not every 64th boundary, and not only
+    once a single ``run_local`` call has lasted ``heartbeat_seconds``
+    (the five-phase case has ~0.4 s phases)."""
+
+    def target():
+        return [
+            run_local(path_graph(4), SlowRounds(rounds), Model.DET).rounds
+            for _ in range(phases)
+        ]
+
+    outcome = supervise_run(
+        target,
+        checkpoint_dir=str(tmp_path / "ck"),
+        retries=0,
+        watchdog=1.0,
+    )
+    assert outcome.ok, outcome.error
+    assert outcome.result == [rounds] * phases
+    kinds = [e.kind for e in outcome.events]
+    assert kinds[0] == "start" and kinds[-1] == "done"
+    assert kinds.count("heartbeat") >= 2
+    assert set(kinds) == {"start", "heartbeat", "done"}
 
 
 def test_deadline_bounds_all_attempts(tmp_path):
