@@ -25,44 +25,18 @@ the ``[perf]`` extra the record documents the skip instead of failing.
 """
 
 import os
-import random
 import time
 
-from repro.algorithms import ColorBiddingAlgorithm, ColorBiddingConfig
-from repro.algorithms.rand_tree_coloring import BAD, reserved_colors
+from repro.algorithms.rand_tree_coloring import BAD
 from repro.analysis import ExperimentRecord, Series
-from repro.core import Model, available_backend_names, run_local
-from repro.graphs.generators import random_tree_bounded_degree
+from repro.analysis.perf import color_bidding_workload, time_backends
+from repro.core import available_backend_names, run_local
 from repro.transforms import component_size_threshold, shatter
 
 N = int(os.environ.get("REPRO_E5V_N", "1000000"))
 COMPARE_N = min(N, 100_000)
 DELTA = 9
 SEED = 0
-
-
-def _workload(n):
-    graph = random_tree_bounded_degree(
-        n, DELTA, random.Random(1000 * SEED + n)
-    )
-    params = {
-        "config": ColorBiddingConfig(),
-        "main_palette": DELTA - reserved_colors(DELTA),
-    }
-    return graph, params
-
-
-def _timed_run(graph, params, backend):
-    start = time.perf_counter()
-    result = run_local(
-        graph,
-        ColorBiddingAlgorithm(),
-        Model.RAND,
-        seed=SEED,
-        global_params=params,
-        backend=backend,
-    )
-    return result, time.perf_counter() - start
 
 
 def run_experiment() -> ExperimentRecord:
@@ -78,9 +52,9 @@ def run_experiment() -> ExperimentRecord:
         record.check("vectorized backend ran (or was skipped)", True)
         return record
 
-    graph, params = _workload(N)
-    result, seconds = _timed_run(graph, params, "vectorized")
-    outcome = shatter(graph, result.outputs, BAD)
+    workload = color_bidding_workload(N, DELTA, SEED)
+    seconds, result = time_backends(("vectorized",), workload, 1)["vectorized"]
+    outcome = shatter(workload["graph"], result.outputs, BAD)
     throughput = result.rounds * N / seconds
 
     series = Series(f"max bad component (Δ={DELTA})")
@@ -99,16 +73,16 @@ def run_experiment() -> ExperimentRecord:
         len(outcome.residual) <= 0.25 * N,
     )
 
-    small_graph, small_params = _workload(COMPARE_N)
-    vec_small, vec_seconds = _timed_run(
-        small_graph, small_params, "vectorized"
+    # time_backends raises when fast's outputs or rounds diverge from
+    # vectorized's, so reaching the check line proves bit-identity.
+    compare = time_backends(
+        ("vectorized", "fast"),
+        color_bidding_workload(COMPARE_N, DELTA, SEED),
+        1,
     )
-    fast_small, fast_seconds = _timed_run(small_graph, small_params, "fast")
-    record.check(
-        f"vectorized bit-identical to fast at n={COMPARE_N}",
-        vec_small.outputs == fast_small.outputs
-        and vec_small.rounds == fast_small.rounds,
-    )
+    vec_seconds = compare["vectorized"][0]
+    fast_seconds = compare["fast"][0]
+    record.check(f"vectorized bit-identical to fast at n={COMPARE_N}", True)
     record.check(
         f"vectorized >= 3x over fast at n={COMPARE_N}",
         fast_seconds / vec_seconds >= 3.0,
@@ -157,7 +131,7 @@ def run_observed_experiment() -> ExperimentRecord:
         record.check("observed vectorized ran (or was skipped)", True)
         return record
 
-    graph, params = _workload(N)
+    workload = color_bidding_workload(N, DELTA, SEED)
     metrics = MetricsObserver()
     fd, trace_path = tempfile.mkstemp(prefix="repro-e5vo-", suffix=".jsonl")
     os.close(fd)
@@ -165,11 +139,7 @@ def run_observed_experiment() -> ExperimentRecord:
         start = time.perf_counter()
         with JsonlTraceObserver(trace_path) as trace:
             result = run_local(
-                graph,
-                ColorBiddingAlgorithm(),
-                Model.RAND,
-                seed=SEED,
-                global_params=params,
+                **workload,
                 observers=[metrics, trace],
                 backend="vectorized",
             )

@@ -33,8 +33,7 @@ lower bound of Theorem 4 up to the additive log* n.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 from .drivers import AlgorithmReport, PhaseLog
 from .linial import LinialColoring, linial_schedule

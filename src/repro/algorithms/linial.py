@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..core.algorithm import Inbox, SyncAlgorithm
 from ..core.context import NodeContext

@@ -19,7 +19,7 @@ port, or ``None``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .drivers import AlgorithmReport, PhaseLog
 from .linial import LinialColoring, linial_schedule

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from .drivers import AlgorithmReport, PhaseLog
 from .tree_coloring import barenboim_elkin_coloring
@@ -220,8 +220,10 @@ class ShatteringStats:
     @staticmethod
     def paper_bound(n: int, delta: int) -> float:
         """The whp component-size bound Δ⁴ · log n from the Theorem 10
-        analysis."""
-        return (delta ** 4) * math.log(max(n, 2))
+        analysis (:func:`repro.transforms.component_size_threshold`)."""
+        from ..transforms.shattering import component_size_threshold
+
+        return component_size_threshold(n, delta)
 
 
 def pettie_su_tree_coloring(

@@ -17,9 +17,14 @@ Workloads:
   round, which is the regime the paper's shattering analysis predicts;
   the O(n)-per-round reference engine rescans everyone while the
   production engine's wake buckets touch only the awake class.
+- **backend timings** — the E5-style ColorBidding workload on every
+  available backend, bare and observed (metrics + JSONL trace).
 - **sweep macro-benchmark** — a scaled-down E3 separation sweep
   (randomized tree coloring over a size grid × seeds), timed serially
   and through the ``workers=N`` process pool.
+
+Every engine timing goes through :func:`time_backends`, which also
+checks the byte-identity contract on each workload it times.
 
 Normalization: raw throughput is divided by the machine's calibration
 score (a fixed pure-Python spin loop), making committed baselines
@@ -34,20 +39,21 @@ import os
 import platform
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from .experiments import run_sweep
 from ..core.algorithm import Inbox, SyncAlgorithm
 from ..core.atomicio import atomic_write_text
+from ..core.backend import available_backend_names, use_backend
 from ..core.context import Model, NodeContext
-from ..core.engine import run_local, run_local_reference
+from ..core.engine import RunResult, run_local
 
 #: Schema version stamped into baseline files.
 BASELINE_VERSION = 1
 
-#: Default relative slack for `repro bench --compare` (35%): perf-smoke
-#: should flag real cliffs, not CI noise.
-DEFAULT_TOLERANCE = 0.35
+#: Relative slack for `repro bench --compare` (35%): perf-smoke should
+#: flag real cliffs, not CI noise.
+TOLERANCE = 0.35
 
 #: Spin-loop size for one calibration sample.
 _CALIBRATION_OPS = 200_000
@@ -93,62 +99,94 @@ def calibrate_ops_per_sec(samples: int = 3) -> float:
     return best
 
 
-def _time_best(fn: Callable[[], Any], repeats: int = 2) -> float:
-    """Shortest wall-clock of ``repeats`` calls to ``fn``."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _no_observers(sink: TextIO) -> Sequence[Any]:
+    return ()
 
 
-def _sleepheavy_inputs(n: int, classes: int) -> List[Dict[str, Any]]:
-    return [{"klass": v % classes} for v in range(n)]
+def _metrics_and_trace(sink: TextIO) -> Sequence[Any]:
+    """The observed-run pair: metrics plus a JSONL trace to ``sink``."""
+    from ..obs import JsonlTraceObserver, MetricsObserver
+
+    return [MetricsObserver(), JsonlTraceObserver(sink, topology=False)]
+
+
+def time_backends(
+    backends: Sequence[str],
+    workload: Dict[str, Any],
+    repeats: int = 2,
+    observers: Callable[[TextIO], Sequence[Any]] = _no_observers,
+) -> Dict[str, Tuple[float, RunResult]]:
+    """Best-of-``repeats`` wall seconds of ``run_local(**workload)`` on
+    each backend in ``backends``, with that backend's result.
+
+    Every call gets fresh observers from ``observers(sink)``, ``sink``
+    being a text stream to the null device.  Raises
+    :class:`AssertionError` naming the backend whose outputs, rounds or
+    :class:`~repro.obs.MetricsObserver` summary differ from the first
+    backend's: the byte-identity contract, checked on every workload.
+    """
+    from ..obs import MetricsObserver
+
+    timed: Dict[str, Tuple[float, RunResult]] = {}
+    first: Optional[Tuple[Any, ...]] = None
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        for name in backends:
+            best = float("inf")
+            for _ in range(repeats):
+                attached = observers(sink)
+                with use_backend(name):
+                    start = time.perf_counter()
+                    result = run_local(**workload, observers=attached)
+                    best = min(best, time.perf_counter() - start)
+            summaries = [
+                obs.summary()
+                for obs in attached
+                if isinstance(obs, MetricsObserver)
+            ]
+            fingerprint = (result.outputs, result.rounds, summaries)
+            if first is None:
+                first = fingerprint
+            elif fingerprint != first:
+                raise AssertionError(
+                    f"backend {name!r} diverged from {backends[0]!r}: "
+                    "outputs, rounds or metrics summary differ — the "
+                    "byte-identity contract is broken"
+                )
+            timed[name] = (best, result)
+    return timed
+
+
+def _sleepheavy_workload(n: int, classes: int) -> Dict[str, Any]:
+    from ..graphs.generators import cycle_graph
+
+    return {
+        "graph": cycle_graph(n),
+        "algorithm": ClassSweepSleeper(),
+        "model": Model.DET,
+        "node_inputs": [{"klass": v % classes} for v in range(n)],
+    }
 
 
 def engine_sleepheavy_metrics(
     n: int = 10_000,
     classes: int = 400,
-    include_reference: bool = True,
     repeats: int = 2,
 ) -> Dict[str, float]:
-    """Rounds/sec of the production engine on the sleep-heavy workload,
-    plus its speedup over :func:`run_local_reference`."""
-    from ..graphs.generators import cycle_graph
-
-    graph = cycle_graph(n)
-    inputs = _sleepheavy_inputs(n, classes)
-
-    def fast() -> None:
-        result = run_local(
-            graph,
-            ClassSweepSleeper(),
-            Model.DET,
-            node_inputs=inputs,
-        )
-        assert result.rounds == classes
-
-    fast_seconds = _time_best(fast, repeats)
-    metrics = {
+    """Rounds/sec of the fast engine on the sleep-heavy workload, plus
+    its speedup over the reference engine."""
+    timed = time_backends(
+        ("fast", "reference"), _sleepheavy_workload(n, classes), repeats
+    )
+    fast_seconds, result = timed["fast"]
+    reference_seconds = timed["reference"][0]
+    return {
         "n": float(n),
-        "rounds": float(classes),
+        "rounds": float(result.rounds),
         "fast_seconds": fast_seconds,
-        "rounds_per_sec": classes / fast_seconds,
+        "rounds_per_sec": result.rounds / fast_seconds,
+        "reference_seconds": reference_seconds,
+        "speedup_vs_reference": reference_seconds / fast_seconds,
     }
-    if include_reference:
-        def reference() -> None:
-            run_local_reference(
-                graph,
-                ClassSweepSleeper(),
-                Model.DET,
-                node_inputs=inputs,
-            )
-
-        ref_seconds = _time_best(reference, repeats)
-        metrics["reference_seconds"] = ref_seconds
-        metrics["speedup_vs_reference"] = ref_seconds / fast_seconds
-    return metrics
 
 
 def tracing_overhead_metrics(
@@ -156,57 +194,41 @@ def tracing_overhead_metrics(
     classes: int = 400,
     repeats: int = 2,
 ) -> Dict[str, float]:
-    """Cost of observation: the sleep-heavy workload bare, with a
-    :class:`~repro.obs.MetricsObserver`, and with a
+    """Cost of observation: the sleep-heavy workload on the fast engine
+    bare, with a :class:`~repro.obs.MetricsObserver`, and with a
     :class:`~repro.obs.JsonlTraceObserver` streaming to the null
     device.  The overhead *ratios* (traced time / bare time) are
     recorded, not gated — the acceptance bar is that the bare run,
     whose hot loop carries only a ``hub is not None`` test, does not
     regress.
     """
-    import os as _os
-
-    from ..graphs.generators import cycle_graph
     from ..obs import JsonlTraceObserver, MetricsObserver
 
-    graph = cycle_graph(n)
-    inputs = _sleepheavy_inputs(n, classes)
-
-    def run(observers: Any) -> None:
-        run_local(
-            graph,
-            ClassSweepSleeper(),
-            Model.DET,
-            node_inputs=inputs,
-            observers=observers,
-        )
-
-    bare_seconds = _time_best(lambda: run(None), repeats)
-    metrics_seconds = _time_best(
-        lambda: run([MetricsObserver()]), repeats
-    )
-    devnull = open(_os.devnull, "w", encoding="utf-8")
-    try:
-        def traced() -> None:
-            run([JsonlTraceObserver(devnull, topology=False)])
-
-        traced_seconds = _time_best(traced, repeats)
-    finally:
-        devnull.close()
+    workload = _sleepheavy_workload(n, classes)
+    bare_seconds, result = time_backends(("fast",), workload, repeats)["fast"]
+    metrics_seconds = time_backends(
+        ("fast",), workload, repeats, lambda sink: [MetricsObserver()]
+    )["fast"][0]
+    traced_seconds = time_backends(
+        ("fast",),
+        workload,
+        repeats,
+        lambda sink: [JsonlTraceObserver(sink, topology=False)],
+    )["fast"][0]
     return {
         "n": float(n),
-        "rounds": float(classes),
+        "rounds": float(result.rounds),
         "bare_seconds": bare_seconds,
         "metrics_seconds": metrics_seconds,
         "traced_seconds": traced_seconds,
         "metrics_overhead_ratio": metrics_seconds / bare_seconds,
         "tracing_overhead_ratio": traced_seconds / bare_seconds,
-        "traced_rounds_per_sec": classes / traced_seconds,
+        "traced_rounds_per_sec": result.rounds / traced_seconds,
     }
 
 
-def _color_bidding_workload(n: int, delta: int, seed: int):
-    """Graph + run_local kwargs of the E5-style ColorBidding workload
+def color_bidding_workload(n: int, delta: int, seed: int) -> Dict[str, Any]:
+    """``run_local`` arguments of the E5-style ColorBidding workload
     (Theorem 10 Phase 1) every backend is timed on."""
     import random
 
@@ -217,17 +239,44 @@ def _color_bidding_workload(n: int, delta: int, seed: int):
     )
     from ..graphs.generators import random_tree_bounded_degree
 
-    graph = random_tree_bounded_degree(
-        n, delta, random.Random(1000 * seed + n)
-    )
-    kwargs = {
+    return {
+        "graph": random_tree_bounded_degree(
+            n, delta, random.Random(1000 * seed + n)
+        ),
+        "algorithm": ColorBiddingAlgorithm(),
+        "model": Model.RAND,
         "seed": seed,
         "global_params": {
             "config": ColorBiddingConfig(),
             "main_palette": delta - reserved_colors(delta),
         },
     }
-    return graph, ColorBiddingAlgorithm(), kwargs
+
+
+def _per_backend_metrics(
+    n: int,
+    delta: int,
+    seed: int,
+    repeats: int,
+    observers: Callable[[TextIO], Sequence[Any]],
+    prefix: str,
+) -> Dict[str, Dict[str, float]]:
+    timed = time_backends(
+        available_backend_names(),
+        color_bidding_workload(n, delta, seed),
+        repeats,
+        observers,
+    )
+    fast_seconds = timed["fast"][0]
+    return {
+        name: {
+            "n": float(n),
+            "seconds": seconds,
+            f"{prefix}rounds_nodes_per_sec": result.rounds * n / seconds,
+            f"{prefix}speedup_vs_fast": fast_seconds / seconds,
+        }
+        for name, (seconds, result) in timed.items()
+    }
 
 
 def backend_engine_metrics(
@@ -239,40 +288,10 @@ def backend_engine_metrics(
     """Per-backend timing of the ColorBidding workload.
 
     One sub-dict per *available* backend: wall seconds, rounds·nodes/sec
-    throughput, and speedup over the fast engine.  Asserts the backend
-    contract en passant — every backend must produce the fast engine's
-    exact outputs on this workload.
+    throughput, and speedup over the fast engine.  Raises when a
+    backend's outputs or rounds diverge from the fast engine's.
     """
-    from ..core.backend import available_backend_names, use_backend
-
-    graph, algorithm, kwargs = _color_bidding_workload(n, delta, seed)
-    results: Dict[str, Any] = {}
-    timings: Dict[str, Dict[str, float]] = {}
-    for name in available_backend_names():
-        def run() -> None:
-            with use_backend(name):
-                results[name] = run_local(
-                    graph, algorithm, Model.RAND, **kwargs
-                )
-
-        seconds = _time_best(run, repeats)
-        timings[name] = {
-            "n": float(n),
-            "seconds": seconds,
-            "rounds_nodes_per_sec": results[name].rounds * n / seconds,
-        }
-    fast = results["fast"]
-    for name, result in results.items():
-        if result.outputs != fast.outputs or result.rounds != fast.rounds:
-            raise AssertionError(
-                f"backend {name!r} diverged from the fast engine on "
-                "the ColorBidding workload — the bit-identity "
-                "contract is broken"
-            )
-        timings[name]["speedup_vs_fast"] = (
-            timings["fast"]["seconds"] / timings[name]["seconds"]
-        )
-    return timings
+    return _per_backend_metrics(n, delta, seed, repeats, _no_observers, "")
 
 
 def traced_backend_metrics(
@@ -289,55 +308,13 @@ def traced_backend_metrics(
     This is the plane-1 scale contract made a number: since the
     vectorized backend feeds observers its round batches natively (no
     per-node fallback), its traced throughput must stay
-    vectorized-class, not collapse to the fast engine's.  Asserts en passant that every
-    backend's metrics summary is identical — the byte-identity contract
-    with observers attached.
+    vectorized-class, not collapse to the fast engine's.  Raises when a
+    backend's metrics summary diverges from the fast engine's — the
+    byte-identity contract with observers attached.
     """
-    import os as _os
-
-    from ..core.backend import available_backend_names, use_backend
-    from ..obs import JsonlTraceObserver, MetricsObserver
-
-    graph, algorithm, kwargs = _color_bidding_workload(n, delta, seed)
-    timings: Dict[str, Dict[str, float]] = {}
-    summaries: Dict[str, Any] = {}
-    rounds: Dict[str, int] = {}
-    devnull = open(_os.devnull, "w", encoding="utf-8")
-    try:
-        for name in available_backend_names():
-            def traced() -> None:
-                metrics = MetricsObserver()
-                trace = JsonlTraceObserver(devnull, topology=False)
-                with use_backend(name):
-                    result = run_local(
-                        graph,
-                        algorithm,
-                        Model.RAND,
-                        observers=[metrics, trace],
-                        **kwargs,
-                    )
-                summaries[name] = metrics.summary()
-                rounds[name] = result.rounds
-
-            seconds = _time_best(traced, repeats)
-            timings[name] = {
-                "n": float(n),
-                "seconds": seconds,
-                "traced_rounds_nodes_per_sec": rounds[name] * n / seconds,
-            }
-    finally:
-        devnull.close()
-    for name, summary in summaries.items():
-        if summary != summaries["fast"]:
-            raise AssertionError(
-                f"backend {name!r} produced a different metrics summary "
-                "than the fast engine with observers attached — the "
-                "observed byte-identity contract is broken"
-            )
-        timings[name]["traced_speedup_vs_fast"] = (
-            timings["fast"]["seconds"] / timings[name]["seconds"]
-        )
-    return timings
+    return _per_backend_metrics(
+        n, delta, seed, repeats, _metrics_and_trace, "traced_"
+    )
 
 
 def e5_vectorized_metrics(
@@ -355,61 +332,16 @@ def e5_vectorized_metrics(
     behind ``repro bench --full`` — this is the number the committed
     baseline records, not a per-CI-run workload.
     """
-    import os as _os
-
-    from ..core.backend import available_backend_names
-    from ..obs import JsonlTraceObserver, MetricsObserver
-
     if "vectorized" not in available_backend_names():
         return None
-    graph, algorithm, kwargs = _color_bidding_workload(n, delta, seed)
-
-    start = time.perf_counter()
-    vec = run_local(
-        graph, algorithm, Model.RAND, backend="vectorized", **kwargs
-    )
-    vec_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    fast = run_local(graph, algorithm, Model.RAND, **kwargs)
-    fast_seconds = time.perf_counter() - start
-
-    if fast.outputs != vec.outputs:
-        raise AssertionError(
-            "vectorized E5 outputs diverged from the fast engine at "
-            f"n={n} — the bit-identity contract is broken"
-        )
-
-    devnull = open(_os.devnull, "w", encoding="utf-8")
-    try:
-        summaries: Dict[str, Any] = {}
-
-        def traced(backend: str) -> float:
-            metrics = MetricsObserver()
-            trace = JsonlTraceObserver(devnull, topology=False)
-            start = time.perf_counter()
-            run_local(
-                graph,
-                algorithm,
-                Model.RAND,
-                backend=backend,
-                observers=[metrics, trace],
-                **kwargs,
-            )
-            seconds = time.perf_counter() - start
-            summaries[backend] = metrics.summary()
-            return seconds
-
-        traced_vec_seconds = traced("vectorized")
-        traced_fast_seconds = traced("fast")
-    finally:
-        devnull.close()
-    if summaries["vectorized"] != summaries["fast"]:
-        raise AssertionError(
-            "vectorized E5 metrics summary diverged from the fast "
-            f"engine at n={n} — the observed byte-identity contract "
-            "is broken"
-        )
+    workload = color_bidding_workload(n, delta, seed)
+    backends = ("vectorized", "fast")
+    bare = time_backends(backends, workload, 1)
+    traced = time_backends(backends, workload, 1, _metrics_and_trace)
+    vec_seconds, vec = bare["vectorized"]
+    fast_seconds, fast = bare["fast"]
+    traced_vec_seconds = traced["vectorized"][0]
+    traced_fast_seconds = traced["fast"][0]
     return {
         "n": float(n),
         "rounds": float(vec.rounds),
@@ -480,11 +412,7 @@ def sweep_metrics(
     }
 
 
-def run_perf_suite(
-    workers: int = 4,
-    include_reference: bool = True,
-    full: bool = False,
-) -> Dict[str, Any]:
+def run_perf_suite(full: bool = False) -> Dict[str, Any]:
     """Run every perf workload and package a baseline-shaped report.
 
     ``metrics`` maps name -> ``{"value": raw, "normalized": raw /
@@ -494,9 +422,9 @@ def run_perf_suite(
     baselines committed to the repo should be recorded with it).
     """
     ops_per_sec = calibrate_ops_per_sec()
-    engine = engine_sleepheavy_metrics(include_reference=include_reference)
+    engine = engine_sleepheavy_metrics()
     tracing = tracing_overhead_metrics()
-    sweep = sweep_metrics(workers=workers)
+    sweep = sweep_metrics()
     backends = backend_engine_metrics()
     traced_backends = traced_backend_metrics()
     e5_full = e5_vectorized_metrics() if full else None
@@ -526,34 +454,32 @@ def run_perf_suite(
             sweep["parallel_cells_per_sec"]
         ),
         "sweep_parallel_speedup": ratio(sweep["parallel_speedup"]),
-    }
-    if "speedup_vs_reference" in engine:
-        metrics["engine_sleepheavy_speedup_vs_reference"] = ratio(
+        "engine_sleepheavy_speedup_vs_reference": ratio(
             engine["speedup_vs_reference"]
-        )
-    # One comparison row per registered-and-available backend; a
-    # baseline recorded with the [perf] extra keeps its vectorized rows
-    # when compared on a numpy-less host (absent metrics never gate).
-    for name, timing in sorted(backends.items()):
+        ),
+    }
+    # One comparison row per registered-and-available backend, bare
+    # and observed (metrics + trace attached); a baseline recorded with
+    # the [perf] extra keeps its vectorized rows when compared on a
+    # numpy-less host (absent metrics never gate).  The observed
+    # vectorized row is the plane-1 scale contract the perf-smoke CI
+    # job tracks — if batched emission ever regresses to the scalar
+    # fallback, it collapses by an order of magnitude and the
+    # comparison flags it.
+    for name in backends:
+        bare, traced = backends[name], traced_backends[name]
         metrics[f"backend_{name}_rounds_nodes_per_sec"] = throughput(
-            timing["rounds_nodes_per_sec"]
+            bare["rounds_nodes_per_sec"]
+        )
+        metrics[f"engine_{name}_traced_rounds_per_sec"] = throughput(
+            traced["traced_rounds_nodes_per_sec"]
         )
         if name != "fast":
             metrics[f"backend_{name}_speedup_vs_fast"] = ratio(
-                timing["speedup_vs_fast"]
+                bare["speedup_vs_fast"]
             )
-    # Observed (metrics + trace attached) per-backend throughput: the
-    # plane-1 scale contract.  The vectorized row is the number the
-    # perf-smoke CI job tracks — if batched emission ever regresses to
-    # the scalar fallback, this metric collapses by an order of
-    # magnitude and the comparison flags it.
-    for name, timing in sorted(traced_backends.items()):
-        metrics[f"engine_{name}_traced_rounds_per_sec"] = throughput(
-            timing["traced_rounds_nodes_per_sec"]
-        )
-        if name != "fast":
             metrics[f"engine_{name}_traced_speedup_vs_fast"] = ratio(
-                timing["traced_speedup_vs_fast"]
+                traced["traced_speedup_vs_fast"]
             )
     if e5_full is not None:
         metrics["e5_1e6_vectorized_rounds_nodes_per_sec"] = throughput(
@@ -603,7 +529,7 @@ def load_baseline(path: str) -> Dict[str, Any]:
         raise ValueError(
             f"baseline {path} has version {baseline.get('version')!r}; "
             f"this tool writes version {BASELINE_VERSION} — refresh it "
-            "with `repro bench --update`"
+            f"with `repro bench --full --output {path}`"
         )
     return baseline
 
@@ -611,14 +537,13 @@ def load_baseline(path: str) -> Dict[str, Any]:
 def compare_to_baseline(
     current: Dict[str, Any],
     baseline: Dict[str, Any],
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> List[Dict[str, Any]]:
     """Compare a perf report to a baseline, metric by metric.
 
     Normalized values are compared when both sides carry them (so a
     faster or slower machine does not read as a perf change); raw values
     otherwise.  Higher is better for every metric.  A metric regresses
-    when ``current < baseline * (1 - tolerance)``.  Metrics present on
+    when ``current < baseline * (1 - TOLERANCE)``.  Metrics present on
     only one side are reported but never regress (they appear when the
     suite gains workloads).
     """
@@ -648,14 +573,14 @@ def compare_to_baseline(
                 "current": cur_value,
                 "ratio": (cur_value / base_value) if base_value else None,
                 "normalized": use_normalized,
-                "regressed": cur_value < base_value * (1.0 - tolerance),
+                "regressed": cur_value < base_value * (1.0 - TOLERANCE),
             }
         )
         rows.append(row)
     return rows
 
 
-def render_comparison(rows: List[Dict[str, Any]], tolerance: float) -> str:
+def render_comparison(rows: List[Dict[str, Any]]) -> str:
     """Human-readable verdict table for ``repro bench --compare``."""
     from .tables import render_table
 
@@ -682,7 +607,7 @@ def render_comparison(rows: List[Dict[str, Any]], tolerance: float) -> str:
             ["metric", "baseline", "current", "ratio", "verdict"],
             table_rows,
         ),
-        f"tolerance: -{tolerance:.0%} on "
+        f"tolerance: -{TOLERANCE:.0%} on "
         "machine-normalized throughput (raw for ratios)",
         (
             f"{regressions} metric(s) regressed"

@@ -140,11 +140,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     from .analysis import perf
 
-    report = perf.run_perf_suite(
-        workers=args.workers,
-        include_reference=not args.no_reference,
-        full=args.full,
-    )
+    report = perf.run_perf_suite(full=args.full)
     rows = []
     for name, metric in sorted(report["metrics"].items()):
         normalized = metric["normalized"]
@@ -162,25 +158,23 @@ def cmd_bench(args: argparse.Namespace) -> int:
         f"calibration: {report['calibration_ops_per_sec']:.0f} ops/s, "
         f"{report['recorded']['cpu_count']} cpu(s)"
     )
-    tracing = report["raw"].get("tracing_overhead")
-    if tracing:
-        print(
-            "tracing overhead (recorded, not gated): "
-            f"jsonl {tracing['tracing_overhead_ratio']:.2f}x, "
-            f"metrics {tracing['metrics_overhead_ratio']:.2f}x "
-            "vs bare engine"
-        )
-    backends = report["raw"].get("backends")
-    if backends:
-        others = ", ".join(
-            f"{name} {timing['speedup_vs_fast']:.2f}x"
-            for name, timing in sorted(backends.items())
-            if name != "fast"
-        )
-        print(
-            "backend speedups vs fast (ColorBidding, "
-            f"n={int(backends['fast']['n'])}): {others}"
-        )
+    tracing = report["raw"]["tracing_overhead"]
+    print(
+        "tracing overhead (recorded, not gated): "
+        f"jsonl {tracing['tracing_overhead_ratio']:.2f}x, "
+        f"metrics {tracing['metrics_overhead_ratio']:.2f}x "
+        "vs bare engine"
+    )
+    backends = report["raw"]["backends"]
+    others = ", ".join(
+        f"{name} {timing['speedup_vs_fast']:.2f}x"
+        for name, timing in sorted(backends.items())
+        if name != "fast"
+    )
+    print(
+        "backend speedups vs fast (ColorBidding, "
+        f"n={int(backends['fast']['n'])}): {others}"
+    )
     e5_full = report["raw"].get("e5_1e6_vectorized")
     if e5_full:
         print(
@@ -193,9 +187,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         Path(args.output).parent.mkdir(parents=True, exist_ok=True)
         perf.save_baseline(report, args.output)
         print(f"report written to {args.output}")
-    if args.update:
-        perf.save_baseline(report, args.update)
-        print(f"baseline refreshed at {args.update}")
     if args.compare:
         if not Path(args.compare).exists():
             print(
@@ -204,10 +195,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
             return 2
         baseline = perf.load_baseline(args.compare)
-        rows_cmp = perf.compare_to_baseline(
-            report, baseline, tolerance=args.tolerance
-        )
-        print(perf.render_comparison(rows_cmp, args.tolerance))
+        rows_cmp = perf.compare_to_baseline(report, baseline)
+        print(perf.render_comparison(rows_cmp))
         if perf.has_regression(rows_cmp):
             return 1
     return 0
@@ -910,35 +899,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(e.g. benchmarks/BENCH_baseline.json)",
     )
     p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.35,
-        help="allowed relative drop before a metric counts as a "
-        "regression (default: 0.35)",
-    )
-    p.add_argument(
-        "--update",
-        metavar="BASELINE",
-        help="write this run's report as the new baseline",
-    )
-    p.add_argument(
         "--output",
         metavar="PATH",
-        help="also write the report JSON here (e.g. under "
-        "benchmarks/results/ for CI artifacts)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="process-pool size for the sweep macro-benchmark "
-        "(default: 4)",
-    )
-    p.add_argument(
-        "--no-reference",
-        action="store_true",
-        help="skip the O(n)-per-round reference engine timing "
-        "(faster runs while iterating)",
+        help="also write the report JSON here (benchmarks/results/ for "
+        "CI artifacts; benchmarks/BENCH_baseline.json, with --full, "
+        "to refresh the baseline)",
     )
     p.add_argument(
         "--full",

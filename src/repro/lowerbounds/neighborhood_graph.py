@@ -27,7 +27,7 @@ than t rounds.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..graphs.graph import Graph
 

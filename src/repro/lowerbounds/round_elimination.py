@@ -17,7 +17,6 @@ form.
 
 from __future__ import annotations
 
-import math
 from typing import List
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 
 def monochromatic_probability(

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..analysis.tables import render_kv, render_table
+from ..transforms.shattering import component_size_threshold
 
 #: Default F(t) threshold for the shattering-round estimate.
 DEFAULT_THRESHOLD = 0.9
@@ -73,7 +74,7 @@ class ShatteringProfile:
     #: First round where F(t) >= threshold (None if never crossed).
     shattering_round: Optional[int] = None
     #: The whp component bound Δ⁴ · ln n from the Theorem 10 analysis
-    #: (same formula as ``ShatteringStats.paper_bound``).
+    #: (:func:`repro.transforms.component_size_threshold`).
     paper_bound: float = 0.0
 
     @property
@@ -239,8 +240,7 @@ def profile_events(
         setup_resolved=setup_resolved,
         curve=curve,
         shattering_round=shattering_round,
-        paper_bound=(start["max_degree"] ** 4)
-        * math.log(max(n, 2)),
+        paper_bound=component_size_threshold(n, start["max_degree"]),
     )
 
 

@@ -61,7 +61,6 @@ from .ir import (
     Instr,
     Loop,
     Ret,
-    Target,
     TargetKind,
     lower_function,
 )

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence
 
 from ..core.algorithm import SyncAlgorithm
 from ..core.context import Model

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..algorithms.drivers import AlgorithmReport, PhaseLog
 from ..algorithms.linial import LinialColoring, linial_schedule

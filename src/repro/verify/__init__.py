@@ -28,7 +28,6 @@ from .gen import (
     permute_vertices,
     shrink_instance,
     shuffled_ids,
-    trial_seeds,
 )
 from .harness import (
     CellResult,
@@ -92,6 +91,5 @@ __all__ = [
     "standard_relations",
     "subject_from_algorithm",
     "subject_from_spec",
-    "trial_seeds",
     "write_counterexamples",
 ]

@@ -29,7 +29,6 @@ from ..graphs.graph import Graph
 _STREAM_GRAPH = 0x67656E
 _STREAM_IDS = 0x696473
 _STREAM_RUN = 0x72756E
-_STREAM_TRIAL = 0x7472_69616C
 
 #: A graph family: seeded builder taking a *requested* size (the family
 #: may round up to its structural minimum / parity).
@@ -39,11 +38,6 @@ GraphFamily = Callable[[int, random.Random], Graph]
 def derive_rng(seed: int, *parts: int) -> random.Random:
     """A :class:`random.Random` keyed by ``(seed, *parts)``."""
     return random.Random(mix64(seed, *parts))
-
-
-def trial_seeds(master_seed: int, count: int) -> List[int]:
-    """``count`` independent trial seeds derived from ``master_seed``."""
-    return [mix64(master_seed, _STREAM_TRIAL, i) for i in range(count)]
 
 
 def shuffled_ids(n: int, seed: int, *parts: int) -> List[int]:
@@ -206,5 +200,4 @@ __all__ = [
     "reshuffled",
     "shrink_instance",
     "shuffled_ids",
-    "trial_seeds",
 ]

@@ -9,18 +9,31 @@ For each registered driver (see
 - one cell per **applicable metamorphic relation**
   (:mod:`repro.verify.relations`).
 
-Failures are shrunk (halve-and-retest, :mod:`repro.verify.gen`) before
-being reported, so a counterexample names the smallest instance the
-harness could reproduce it on.  The whole sweep is a pure function of
-``master_seed``; the JSONL counterexample report uses sorted keys and
-fixed separators so reruns are byte-identical.
+Every cell, and :func:`find_counterexample`, runs the same trial loop
+over sizes × seeds: check the instance, and on failure shrink it
+(halve-and-retest, :mod:`repro.verify.gen`) and re-check, so a
+counterexample names the smallest instance the harness could reproduce
+it on.  A check returns why an instance fails, or ``None``.  The whole
+sweep is a pure function of ``master_seed``; the JSONL counterexample
+report uses sorted keys and fixed separators so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..algorithms.drivers import (
     DriverSpec,
@@ -140,6 +153,40 @@ def write_counterexamples(
     return len(examples)
 
 
+def _failing_trials(
+    check: Callable[[Instance], Any],
+    family: GraphFamily,
+    min_n: int,
+    sizes: Sequence[int],
+    seeds: Sequence[int],
+    shrink: bool,
+) -> Iterable[Tuple[Any, Instance, int]]:
+    """The one trial loop: ``check`` every instance of ``sizes × seeds``
+    and yield each failure (``check``'s non-``None`` result), the
+    instance it describes — shrunk when ``shrink`` and the failure
+    survives the re-check — and the originally-failing vertex count.
+    Lazy, so a caller that stops at the first failure runs no more
+    trials."""
+    for size in sizes:
+        for seed in seeds:
+            instance = make_instance(family, size, seed)
+            failure = check(instance)
+            if failure is None:
+                continue
+            original_n = instance.n
+            if shrink:
+                shrunk = shrink_instance(
+                    instance,
+                    lambda inst: check(inst) is not None,
+                    family,
+                    min_n,
+                )
+                final = check(shrunk)
+                if final is not None:
+                    failure, instance = final, shrunk
+            yield failure, instance, original_n
+
+
 def find_counterexample(
     subject: Subject,
     relation: Relation,
@@ -152,26 +199,10 @@ def find_counterexample(
 ) -> Optional[Tuple[RelationViolation, int]]:
     """First shrunk relation violation over ``sizes × seeds``, with the
     originally-failing vertex count; ``None`` when every trial holds."""
-    for size in sizes:
-        for seed in seeds:
-            instance = make_instance(family, size, seed)
-            violation = relation.check(subject, instance)
-            if violation is None:
-                continue
-            original_n = instance.n
-            if shrink:
-                shrunk = shrink_instance(
-                    instance,
-                    lambda inst: relation.check(subject, inst)
-                    is not None,
-                    family,
-                    min_n,
-                )
-                final = relation.check(subject, shrunk)
-                if final is not None:
-                    violation = final
-            return violation, original_n
-    return None
+    failures = _failing_trials(
+        partial(relation.check, subject), family, min_n, sizes, seeds, shrink
+    )
+    return next(((v, n) for v, _, n in failures), None)
 
 
 def _certificate_failure(
@@ -208,86 +239,40 @@ def _certificate_failure(
     )
 
 
-def _certify_cell(
+def _relation_failure(
+    relation: Relation, subject: Subject, instance: Instance
+) -> Optional[str]:
+    """Why ``instance`` breaks ``relation`` (``None`` when it holds)."""
+    violation = relation.check(subject, instance)
+    return None if violation is None else violation.message
+
+
+def _cell(
     spec: DriverSpec,
-    subject: Subject,
+    relation: str,
+    check: Callable[[Instance], Optional[str]],
     sizes: Sequence[int],
     seeds: Sequence[int],
     shrink: bool,
 ) -> CellResult:
-    cell = CellResult(driver=spec.name, relation="certificate")
-    for size in sizes:
-        for seed in seeds:
-            cell.trials += 1
-            instance = make_instance(spec.make_graph, size, seed)
-            message = _certificate_failure(spec, subject, instance)
-            if message is None:
-                continue
-            original_n = instance.n
-            if shrink:
-                instance = shrink_instance(
-                    instance,
-                    lambda inst: _certificate_failure(
-                        spec, subject, inst
-                    )
-                    is not None,
-                    spec.make_graph,
-                    spec.min_n,
-                )
-                message = (
-                    _certificate_failure(spec, subject, instance)
-                    or message
-                )
-            cell.failures.append(
-                Counterexample(
-                    driver=spec.name,
-                    relation="certificate",
-                    message=message,
-                    instance=instance.describe(),
-                    shrunk_from_n=original_n,
-                )
+    failures = _failing_trials(
+        check, spec.make_graph, spec.min_n, sizes, seeds, shrink
+    )
+    return CellResult(
+        driver=spec.name,
+        relation=relation,
+        trials=len(sizes) * len(seeds),
+        failures=[
+            Counterexample(
+                driver=spec.name,
+                relation=relation,
+                message=message,
+                instance=instance.describe(),
+                shrunk_from_n=original_n,
             )
-    return cell
-
-
-def _relation_cell(
-    spec: DriverSpec,
-    subject: Subject,
-    relation: Relation,
-    sizes: Sequence[int],
-    seeds: Sequence[int],
-    shrink: bool,
-) -> CellResult:
-    cell = CellResult(driver=spec.name, relation=relation.name)
-    for size in sizes:
-        for seed in seeds:
-            cell.trials += 1
-            instance = make_instance(spec.make_graph, size, seed)
-            violation = relation.check(subject, instance)
-            if violation is None:
-                continue
-            original_n = instance.n
-            if shrink:
-                shrunk = shrink_instance(
-                    instance,
-                    lambda inst: relation.check(subject, inst)
-                    is not None,
-                    spec.make_graph,
-                    spec.min_n,
-                )
-                violation = (
-                    relation.check(subject, shrunk) or violation
-                )
-            cell.failures.append(
-                Counterexample(
-                    driver=spec.name,
-                    relation=relation.name,
-                    message=violation.message,
-                    instance=violation.instance,
-                    shrunk_from_n=original_n,
-                )
-            )
-    return cell
+            for message, instance, original_n in failures
+        ],
+    )
 
 
 def run_verification(
@@ -334,16 +319,17 @@ def run_verification(
             mix64(_driver_seed(master_seed, name), i)
             for i in range(per_cell)
         ]
-        report.cells.append(
-            _certify_cell(spec, subject, sizes, seeds, shrink)
-        )
-        for relation in catalogue:
-            if not relation.applies_to(subject):
-                continue
+        checks = [
+            ("certificate", partial(_certificate_failure, spec, subject))
+        ]
+        checks += [
+            (relation.name, partial(_relation_failure, relation, subject))
+            for relation in catalogue
+            if relation.applies_to(subject)
+        ]
+        for relation_name, check in checks:
             report.cells.append(
-                _relation_cell(
-                    spec, subject, relation, sizes, seeds, shrink
-                )
+                _cell(spec, relation_name, check, sizes, seeds, shrink)
             )
     return report
 

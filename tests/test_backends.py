@@ -706,9 +706,10 @@ class TestSweepBackendThreading:
 class TestBackendSurfaces:
     """The meta-test for backend-surface drift: registering a backend
     must make it appear on every user-facing surface that names
-    backends — the CLI choices, the bench rows, the sweep journal
-    fingerprint, and the supervise degradation ladder.  A backend
-    missing from any of these fails here, not in production."""
+    backends — the CLI choices, the bench rows (whose timings also hold
+    it to the fast engine's results), the sweep journal fingerprint and
+    checkpoint capture.  A backend missing from any of these fails
+    here, not in production."""
 
     def test_cli_backend_choices_track_the_registry(self):
         from repro.cli import build_parser
@@ -745,6 +746,48 @@ class TestBackendSurfaces:
 
         timings = backend_engine_metrics(n=240, repeats=1)
         assert set(timings) == set(available_backend_names())
+
+    def test_bench_timings_name_a_diverging_backend(self, scratch_backend):
+        """`repro bench` fails on a backend whose outputs, or whose
+        metrics summary with observers attached, differ from fast's."""
+        from repro.analysis.perf import (
+            backend_engine_metrics,
+            traced_backend_metrics,
+        )
+        from repro.core.engine import _run_local_fast
+
+        def wrong_output(*args, **kwargs):
+            result = _run_local_fast(*args, **kwargs)
+            result.outputs[0] = "wrong"
+            return result
+
+        def unobserved(*args, observers=None, **kwargs):
+            return _run_local_fast(*args, **kwargs)
+
+        scratch_backend("unobserved", lambda: unobserved)
+        # Outputs and rounds agree, so only the traced timing fails.
+        backend_engine_metrics(n=240, repeats=1)
+        with pytest.raises(AssertionError, match="'unobserved'"):
+            traced_backend_metrics(n=240, repeats=1)
+        scratch_backend("wrong-output", lambda: wrong_output)
+        with pytest.raises(AssertionError, match="'wrong-output'"):
+            backend_engine_metrics(n=240, repeats=1)
+
+    @needs_vectorized
+    def test_e5_leg_returns_the_fields_of_its_bench_keys(self):
+        """The `--full` leg, at a size tier-1 can afford: the four
+        `e5_1e6_*` bench keys read these fields."""
+        from repro.analysis.perf import e5_vectorized_metrics
+
+        e5 = e5_vectorized_metrics(n=400)
+        assert e5["n"] == 400 and e5["rounds"] > 0
+        for field in (
+            "vectorized_rounds_nodes_per_sec",
+            "speedup_vs_fast",
+            "traced_vectorized_rounds_nodes_per_sec",
+            "traced_speedup_vs_fast",
+        ):
+            assert e5[field] > 0, field
 
     def test_sweep_journal_fingerprint_accepts_every_backend(
         self, tmp_path

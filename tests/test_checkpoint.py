@@ -26,7 +26,6 @@ from repro.core.algorithm import SyncAlgorithm
 from repro.core.checkpoint import (
     CheckpointError,
     CheckpointPolicy,
-    CheckpointSession,
     checkpointing,
     load_checkpoint,
     save_checkpoint,
@@ -178,7 +177,6 @@ class TestFileFormat:
         payload = pickle.dumps(1)
         save_checkpoint(path, {}, payload)
         header, _ = load_checkpoint(path)
-        import hashlib
         import json
 
         header["version"] = 99

@@ -12,7 +12,7 @@ from repro.core import (
     run_local,
 )
 from repro.graphs import Graph
-from repro.graphs.generators import cycle_graph, path_graph, star_graph
+from repro.graphs.generators import path_graph, star_graph
 
 
 class HaltImmediately(SyncAlgorithm):

@@ -12,7 +12,6 @@ from repro.algorithms.rand_tree_coloring import (
     reserved_colors,
 )
 from repro.core import (
-    AlgorithmFailure,
     DuplicateIDError,
     Model,
     SimulationError,

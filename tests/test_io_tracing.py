@@ -5,7 +5,7 @@ import pytest
 from repro.algorithms import LubyMIS, MISFromColoring
 from repro.core import Model, run_local
 from repro.obs import RunObserver
-from repro.graphs import Graph, is_proper_edge_coloring
+from repro.graphs import is_proper_edge_coloring
 from repro.graphs.generators import (
     cycle_graph,
     random_regular_bipartite_graph,

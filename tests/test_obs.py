@@ -15,7 +15,6 @@ Pins the tentpole contracts of the observability subsystem:
 
 import io
 import json
-import random
 
 import pytest
 

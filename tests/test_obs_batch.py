@@ -31,7 +31,6 @@ from repro.core import (
     Model,
     available_backend_names,
     run_local,
-    use_backend,
 )
 from repro.core.algorithm import SyncAlgorithm
 from repro.core.engine import SETUP_ROUND, observe_runs, run_local_reference

@@ -16,7 +16,7 @@ from repro.graphs.generators import (
     complete_tree_with_max_degree,
     random_tree_bounded_degree,
 )
-from repro.lcl import KColoring, ProperColoring
+from repro.lcl import KColoring
 
 
 class TestConfig:

@@ -15,7 +15,7 @@ from repro.graphs.generators import (
     random_tree_bounded_degree,
     star_graph,
 )
-from repro.lcl import KColoring, ProperColoring
+from repro.lcl import KColoring
 
 
 def _initial_coloring(graph):

@@ -31,7 +31,6 @@ from repro.backends.sharded import (
     PARTITION_MODES,
     RANDOM,
     SHARDS_ENV_VAR,
-    WorkerCrashError,
     boundary_edges,
     current_shard_config,
     partition_graph,

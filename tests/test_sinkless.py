@@ -8,12 +8,11 @@ from repro.algorithms.sinkless import (
     random_sinkless_orientation,
 )
 from repro.core.errors import AlgorithmFailure
-from repro.graphs import Graph, GraphError
+from repro.graphs import GraphError
 from repro.graphs.generators import (
     cycle_graph,
     high_girth_regular_graph,
     hypercube_graph,
-    path_graph,
     random_regular_graph,
 )
 from repro.lcl import SinklessOrientation, count_sinks

@@ -30,7 +30,6 @@ from repro.verify import (
     run_verification,
     shrink_instance,
     shuffled_ids,
-    trial_seeds,
     write_counterexamples,
 )
 from repro.verify.gen import random_permutation
@@ -61,12 +60,6 @@ def test_shuffled_ids_is_a_dense_permutation():
     ids = shuffled_ids(40, 3)
     assert sorted(ids) == list(range(40))
     assert ids != list(range(40))
-
-
-def test_trial_seeds_are_distinct_and_reproducible():
-    seeds = trial_seeds(99, 16)
-    assert len(set(seeds)) == 16
-    assert seeds == trial_seeds(99, 16)
 
 
 def test_shrink_finds_the_minimal_failing_size():
@@ -334,7 +327,8 @@ def test_sweep_unknown_driver_name_raises():
 
 
 def test_cli_verify_quick_exits_zero(capsys):
-    assert cli_main(["verify", "--quick"]) == 0
+    # One driver: the library test above runs the whole quick sweep.
+    assert cli_main(["verify", "--quick", "--driver", "linial-coloring"]) == 0
     out = capsys.readouterr().out
     assert "cells" in out and "0 failing" in out
 
