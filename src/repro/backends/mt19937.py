@@ -23,11 +23,12 @@ desynchronize.
 uint32 — 2.5 GB at n = 10⁶, and merely first-touching that many pages
 costs tens of seconds.  The engine workloads consume only a few dozen
 words per vertex, so the class instead keeps a ``(W, n)`` buffer of
-*tempered output words* (W starts small), produced chunk-by-chunk
-through one small reusable ``(624, chunk)`` scratch state.  If any
-stream exhausts its W words, the buffer is regenerated from the seeds
-at double the depth — positions are preserved, so a grow is invisible
-to callers (just slower; sized hints avoid it).
+*tempered output words* (W starts small, 4·W·n bytes), produced
+chunk-by-chunk through one reusable ``(624, 16384)`` scratch state
+(41 MB, whatever n is).  If any stream exhausts its W words, the
+buffer is regenerated from the seeds at double the depth — positions
+are preserved, so a grow is invisible to callers (just slower; sized
+hints avoid it).
 
 CPython's integer seeding derives the ``init_by_array`` key from the
 seed's 32-bit limbs, and the *key length* depends on the seed's bit
@@ -50,8 +51,9 @@ _MATRIX_A = np.uint32(0x9908B0DF)
 _UPPER = np.uint32(0x80000000)
 _LOWER = np.uint32(0x7FFFFFFF)
 
-#: Columns processed per scratch pass (caps scratch at ~320 MB).
-_CHUNK = 1 << 17
+#: Columns processed per scratch pass: the ``(624, _CHUNK)`` uint32
+#: scratch is 41 MB (39 MiB); the output buffer does not depend on it.
+_CHUNK = 1 << 14
 
 #: ``bit_length`` lookup for the randrange rejection loop (bounds the
 #: supported range; plenty for palette-sized draws).

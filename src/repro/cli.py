@@ -282,11 +282,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
             )
             dump_jsonl(history, out)
         else:  # filter
+            kinds = args.kind or None
             count = dump_jsonl(
                 filter_events(
-                    iter_trace(paths[0]),
+                    iter_trace(paths[0], kinds=kinds),
                     run=args.run,
-                    kinds=args.kind or None,
+                    kinds=kinds,
                     vertex=args.vertex,
                     round_min=args.round_min,
                     round_max=args.round_max,

@@ -35,21 +35,11 @@ from typing import (
     Sequence,
 )
 
+from .trace import _EVENT_KINDS, _kind_set
+
 #: Stamped on aggregate dicts so merged artifacts self-identify.
 AGGREGATE_SCHEMA = "repro.obs.query.aggregate"
 AGGREGATE_VERSION = 1
-
-_EVENT_KINDS = (
-    "run_start",
-    "round_start",
-    "step",
-    "publish",
-    "halt",
-    "failure",
-    "fault",
-    "round_end",
-    "run_end",
-)
 
 
 def filter_events(
@@ -66,16 +56,7 @@ def filter_events(
     ``kinds`` naming an unknown event kind raises ``ValueError`` — a
     typo'd ``--kind pubish`` must not read as "no matches".
     """
-    if kinds is not None:
-        unknown = [k for k in kinds if k not in _EVENT_KINDS]
-        if unknown:
-            raise ValueError(
-                f"unknown event kind(s) {unknown}; "
-                f"expected one of {list(_EVENT_KINDS)}"
-            )
-        kind_set = frozenset(kinds)
-    else:
-        kind_set = None
+    kind_set = None if kinds is None else _kind_set(kinds)
     for event in events:
         if run is not None and event.get("run") != run:
             continue

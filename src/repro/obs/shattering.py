@@ -39,6 +39,9 @@ DEFAULT_THRESHOLD = 0.9
 #: "No sentinel": with this default every halt counts as resolved.
 _NO_SENTINEL = object()
 
+#: The trace event kinds :func:`profile_events` reads.
+_PROFILED_KINDS = ("run_start", "halt", "round_end", "run_end")
+
 
 @dataclass
 class RoundShatterStats:
@@ -196,6 +199,10 @@ def profile_events(
     curve: List[RoundShatterStats] = []
     shattering_round: Optional[int] = None
     rounds = 0
+    # Resolved vertices only accumulate, so an unchanged count means an
+    # unchanged survivor set and the previous row's components.
+    scanned_done = -1
+    num_components = largest = 0
     for event in stream:
         if event.get("run") != run:
             continue
@@ -212,9 +219,11 @@ def profile_events(
         elif kind == "round_end":
             rounds = event["round"] + 1
             fraction = done / n if n else 1.0
-            num_components, largest = _components(
-                [not r for r in resolved], adjacency
-            )
+            if done != scanned_done:
+                num_components, largest = _components(
+                    [not r for r in resolved], adjacency
+                )
+                scanned_done = done
             curve.append(
                 RoundShatterStats(
                     round=event["round"],
@@ -252,11 +261,12 @@ def profile_trace(
     unresolved: Any = _NO_SENTINEL,
 ) -> ShatteringProfile:
     """Profile a JSONL trace file, streaming (see
-    :func:`profile_events` — the file is never loaded whole)."""
+    :func:`profile_events` — the file is never loaded whole).  Only the
+    lines of the kinds the profiler reads are decoded."""
     from .trace import iter_trace
 
     return profile_events(
-        iter_trace(path),
+        iter_trace(path, kinds=_PROFILED_KINDS),
         run=run,
         threshold=threshold,
         unresolved=unresolved,

@@ -45,7 +45,17 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterator, List, Optional, TextIO, Union
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    TextIO,
+    Union,
+)
 
 from ..core.engine import RunMeta, RunResult, SETUP_ROUND
 from ..core.errors import FaultEvent
@@ -63,6 +73,19 @@ SUPPORTED_TRACE_VERSIONS = (1, 2, 3)
 #: backend attribution live in the nondeterministic sidecar,
 #: :mod:`repro.obs.timing`).
 EMISSION_MODES = ("per-event", "batched")
+
+#: Every ``event`` kind the schema above defines.
+_EVENT_KINDS = (
+    "run_start",
+    "round_start",
+    "step",
+    "publish",
+    "halt",
+    "failure",
+    "fault",
+    "round_end",
+    "run_end",
+)
 
 
 def _json_safe(value: Any) -> Any:
@@ -240,7 +263,8 @@ class JsonlTraceObserver(RunObserver):
             "seed": meta.seed,
         }
         if self.topology and meta.graph is not None:
-            line["edges"] = [[u, v] for u, v in meta.graph.edges()]
+            # json writes the (u, v) tuples as arrays: no copy needed.
+            line["edges"] = list(meta.graph.edges())
         self._emit(line)
 
     def on_run_fault(self, round_index: int, fault: FaultEvent) -> None:
@@ -428,23 +452,79 @@ def read_trace(
     return selected
 
 
-def iter_trace(path: str) -> Iterator[Dict[str, Any]]:
+def iter_trace(
+    path: str, kinds: Optional[Sequence[str]] = None
+) -> Iterator[Dict[str, Any]]:
     """Stream a JSONL trace without loading it whole.
 
     Accepts every schema version in :data:`SUPPORTED_TRACE_VERSIONS`
     (v1 traces from before fault events read fine); a ``run_start``
     declaring an unknown or future version raises ``ValueError``
     instead of silently misreading events this reader predates.
+
+    ``kinds`` restricts the stream to those event kinds (an unknown
+    kind raises ``ValueError``).  Kinds are matched as ``json.dumps``
+    writes them: a line holding none of them as a quoted string
+    (``"halt"``) is skipped without being decoded, so lines that were
+    not asked for are not validated — except ``run_start`` lines,
+    which are always decoded for the version check, and a final line
+    without its newline (a torn write), which is always decoded so a
+    killed writer's trace still fails loudly.
     """
+    wanted = None if kinds is None else _kind_set(kinds)
+    needles = (
+        ()
+        if wanted is None
+        else tuple(json.dumps(k) for k in wanted | {"run_start"})
+    )
     with open(path, "r", encoding="utf-8") as stream:
         for line in stream:
+            if needles:
+                for needle in needles:
+                    if needle in line:
+                        break
+                else:
+                    # Not asked for; a torn final line (no newline) is
+                    # decoded anyway, so that it fails loudly.
+                    if line.endswith("\n"):
+                        continue
             line = line.strip()
             if not line:
                 continue
-            event: Dict[str, Any] = json.loads(line)
-            if event.get("event") == "run_start":
+            event = _decode(line)
+            kind = event.get("event")
+            if kind == "run_start":
                 _check_readable(event, path)
-            yield event
+            if wanted is None or kind in wanted:
+                yield event
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode(line: str) -> Dict[str, Any]:
+    """One stripped trace line as an event dict.  ``raw_decode`` skips
+    ``json.loads``' whitespace scans; a line it does not parse whole
+    goes through ``json.loads`` to raise exactly its error."""
+    try:
+        event, end = _raw_decode(line)
+        if end == len(line):
+            return event
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)
+
+
+def _kind_set(kinds: Sequence[str]) -> FrozenSet[str]:
+    """``kinds`` as a set, rejecting names the schema does not define
+    — a typo'd ``--kind pubish`` must not read as "no matches"."""
+    unknown = [k for k in kinds if k not in _EVENT_KINDS]
+    if unknown:
+        raise ValueError(
+            f"unknown event kind(s) {unknown}; "
+            f"expected one of {list(_EVENT_KINDS)}"
+        )
+    return frozenset(kinds)
 
 
 def _check_readable(run_start: Dict[str, Any], path: str) -> None:

@@ -549,6 +549,25 @@ class TestVectorMT:
                 == np.array([r.random() for r in scalars])
             ).all()
 
+    def test_words_match_across_scratch_chunks(self, monkeypatch):
+        """Columns are seeded ``_CHUNK`` at a time; a small chunk puts
+        the short-seed path and a regrow in chunks past the first."""
+        import numpy as np
+
+        from repro.backends import mt19937
+
+        monkeypatch.setattr(mt19937, "_CHUNK", 5)
+        master = random.Random(11)
+        seeds = [master.getrandbits(64) for _ in range(23)]
+        seeds[7], seeds[13], seeds[22] = 0, 2**32 - 1, 12345
+        vmt, scalars = self._pair(seeds)
+        verts = np.arange(len(seeds))
+        full = np.full(len(seeds), 32)
+        for _ in range(700):  # > 624 words and the 64-word start depth
+            assert vmt.getrandbits(verts, full).tolist() == [
+                r.getrandbits(32) for r in scalars
+            ]
+
     def test_randrange_one_still_consumes_a_word(self):
         import numpy as np
 

@@ -209,3 +209,22 @@ class TestTraceCli:
         assert main(["trace", "query", path, "--format", "json"]) == 0
         aggregate = json.loads(capsys.readouterr().out)
         assert aggregate["runs"] >= 1
+
+    def test_query_filter_by_kind_matches_read_trace(self, capsys, tmp_path):
+        import json
+
+        from repro.obs import read_trace
+
+        path = str(tmp_path / "t.jsonl")
+        argv = ["run", "--workload", "coloring", "--n", "300"]
+        assert main(argv + ["--delta", "9", "--trace", path]) == 0
+        capsys.readouterr()
+        query = ["trace", "query", path, "--op", "filter"]
+        assert main(query + ["--kind", "halt"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        halts = [e for e in read_trace(path) if e["event"] == "halt"]
+        assert halts
+        assert printed == [
+            json.dumps(e, sort_keys=True, separators=(",", ":"))
+            for e in halts
+        ]

@@ -535,6 +535,82 @@ class TestTraceVersions:
         assert start["version"] == TRACE_VERSION == 3
 
 
+class SaysHalt(SyncAlgorithm):
+    """Publishes the strings the kind filter matches on, then halts."""
+
+    name = "says-halt"
+
+    def setup(self, ctx):
+        ctx.publish("halt")
+
+    def step(self, ctx, inbox):
+        if ctx.now == 0:
+            ctx.publish({"round_end": ["run_end", ctx.id]})
+        else:
+            ctx.halt("run_start")
+
+
+class TestTraceKindFilter:
+    """``iter_trace(kinds=...)`` skips lines without decoding them; it
+    must still yield exactly the asked-for events and fail as loudly."""
+
+    PROFILED = ("run_start", "halt", "round_end", "run_end")
+
+    @pytest.fixture(scope="class")
+    def values_trace(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("kinds") / "trace.jsonl"
+        with JsonlTraceObserver(str(path), payload_values=True) as obs:
+            for n in (5, 7):
+                run_local(
+                    cycle_graph(n), SaysHalt(), Model.DET, observers=[obs]
+                )
+        return str(path)
+
+    @pytest.mark.parametrize("kinds", [PROFILED, ("publish",)])
+    def test_filtered_stream_equals_filtering_afterwards(
+        self, values_trace, kinds
+    ):
+        everything = list(iter_trace(values_trace))
+        assert {e["run"] for e in everything} == {0, 1}
+        assert any(e.get("value") == "halt" for e in everything)
+        expected = [e for e in everything if e["event"] in kinds]
+        assert expected
+        assert list(iter_trace(values_trace, kinds=kinds)) == expected
+
+    def test_unknown_kind_rejected_like_filter_events(self, values_trace):
+        with pytest.raises(ValueError, match="unknown event kind.*pubish"):
+            list(iter_trace(values_trace, kinds=["pubish"]))
+
+    def test_version_checked_when_run_start_not_asked_for(self, tmp_path):
+        path = tmp_path / "future.jsonl"
+        lines = [
+            {"event": "run_start", "schema": "repro.obs.trace",
+             "version": 99, "run": 0},
+            {"event": "halt", "run": 0, "round": 0, "v": 0, "value": 1},
+        ]
+        path.write_text("".join(json.dumps(e) + "\n" for e in lines))
+        with pytest.raises(ValueError, match="99"):
+            list(iter_trace(str(path), kinds=("halt",)))
+
+    def test_profile_of_a_torn_driver_trace_raises(self, tmp_path):
+        from repro.algorithms import pettie_su_tree_coloring
+        from repro.algorithms.rand_tree_coloring import BAD
+        from repro.obs import profile_trace
+
+        path = tmp_path / "phase1.jsonl"
+        tree = random_tree_bounded_degree(300, 9, random.Random(1))
+        with JsonlTraceObserver(str(path)) as obs:
+            with observe_runs(obs):
+                pettie_su_tree_coloring(tree, seed=1)
+        data = path.read_bytes()
+        end_of_run_0 = data.index(b'"event":"run_end"')
+        publish = data.rindex(b'"event":"publish"', 0, end_of_run_0)
+        # The writer died inside run 0's last publish line.
+        path.write_bytes(data[:publish])
+        with pytest.raises(ValueError):
+            profile_trace(str(path), unresolved=BAD)
+
+
 # ----------------------------------------------------------------------
 # Streaming query layer
 # ----------------------------------------------------------------------

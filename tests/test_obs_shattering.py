@@ -102,6 +102,39 @@ class TestProfileEvents:
         assert profile.curve[1].max_component == 2
         assert not profile.ok()
 
+    def test_components_rescanned_only_when_resolved_set_changes(
+        self, monkeypatch
+    ):
+        import repro.obs.shattering as shattering
+
+        events = _synthetic_events()
+        # Round 2 resolves nobody, so its row must repeat round 1's.
+        events[-1:-1] = [
+            {"event": "round_start", "run": 0, "round": 2, "active": 1},
+            {
+                "event": "round_end",
+                "run": 0,
+                "round": 2,
+                "awake": 1,
+                "halted": 0,
+                "messages": 0,
+            },
+        ]
+        scans = []
+        components = shattering._components
+
+        def counting(survivors, adjacency):
+            scans.append(sum(survivors))
+            return components(survivors, adjacency)
+
+        monkeypatch.setattr(shattering, "_components", counting)
+        profile = profile_events(events, threshold=0.7)
+        assert scans == [3, 1]
+        assert [
+            (s.round, s.survivors, s.num_components, s.max_component)
+            for s in profile.curve
+        ] == [(0, 3, 1, 3), (1, 1, 1, 1), (2, 1, 1, 1)]
+
     def test_paper_bound_formula(self):
         import math
 
