@@ -68,10 +68,16 @@ no-fault path stays on the perf baseline, and fault decisions are
 hash-derived from ``(plan seed, round, vertex, port)`` — never from
 sequential RNG draws — so every engine injects the *same* faults and
 stays bit-identical under any plan.  See ``docs/robustness.md``.
+
+:func:`run_local` pauses CPython's cyclic garbage collector for the
+length of a run (:func:`_collector_paused`): a run's per-vertex objects
+hold no reference cycles, so full collections during a run re-walk the
+whole live heap and free nothing (``docs/performance.md``).
 """
 
 from __future__ import annotations
 
+import gc
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -359,6 +365,25 @@ def _run_setup(
         ctx._commit()
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Disable the cyclic garbage collector in scope, if it is enabled.
+
+    Reference counting still frees acyclic garbage at once; a cycle
+    made in scope is freed by the first collection after it.  A caller
+    that already disabled the collector (or an enclosing run) keeps
+    control: nothing is changed and nothing is restored.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 def make_node_rngs(n: int, seed: Optional[int]) -> List[random.Random]:
     """Independent per-vertex random streams derived from a master seed.
 
@@ -495,6 +520,11 @@ def run_local(
     scope the run snapshots its resumable state at round boundaries
     and, when the scope resumes, restores from its slot's snapshot.
 
+    Once the backend is resolved, the cyclic garbage collector is
+    paused until the run returns or raises (unless the caller already
+    disabled it), so reference cycles made by node code or observers
+    are freed only by the first collection after the run.
+
     Parameters
     ----------
     ids:
@@ -553,37 +583,41 @@ def run_local(
         "observers": observers,
         "fault_plan": fault_plan,
     }
-    scope = current_checkpoint_scope()
-    if scope is None:
-        # No checkpointing in scope: custom-registered backends need
-        # not know the ``checkpoint`` keyword exists.
-        return runner(graph, algorithm, model, **options)
-    session = scope.next_session()
-    plan = fault_plan if fault_plan is not None else _ACTIVE_FAULT_PLAN
-    session.bind(
-        be,
-        _attached_observers(observers),
-        {
-            "algorithm": algorithm.name,
-            "model": model.value,
-            "n": graph.num_vertices,
-            "num_edges": graph.num_edges,
-            "seed": seed,
-            "max_rounds": max_rounds,
-            "backend": name,
-            "slot": session.slot,
-            "faults": plan.fingerprint() if plan is not None else None,
-        },
-    )
-    if session.begin():
-        # The slot already finished in the interrupted process: replay
-        # its recorded result without re-running the engine (observers
-        # were restored to their end-of-slot positions by begin()).
-        result: RunResult = session.done_result()
+    with _collector_paused():
+        scope = current_checkpoint_scope()
+        if scope is None:
+            # No checkpointing in scope: custom-registered backends
+            # need not know the ``checkpoint`` keyword exists.
+            return runner(graph, algorithm, model, **options)
+        session = scope.next_session()
+        plan = fault_plan if fault_plan is not None else _ACTIVE_FAULT_PLAN
+        session.bind(
+            be,
+            _attached_observers(observers),
+            {
+                "algorithm": algorithm.name,
+                "model": model.value,
+                "n": graph.num_vertices,
+                "num_edges": graph.num_edges,
+                "seed": seed,
+                "max_rounds": max_rounds,
+                "backend": name,
+                "slot": session.slot,
+                "faults": plan.fingerprint() if plan is not None else None,
+            },
+        )
+        if session.begin():
+            # The slot already finished in the interrupted process:
+            # replay its recorded result without re-running the engine
+            # (observers were restored to their end-of-slot positions
+            # by begin()).
+            result: RunResult = session.done_result()
+            return result
+        result = runner(
+            graph, algorithm, model, checkpoint=session, **options
+        )
+        session.record_done(result)
         return result
-    result = runner(graph, algorithm, model, checkpoint=session, **options)
-    session.record_done(result)
-    return result
 
 
 class _ScalarState:

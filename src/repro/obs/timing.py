@@ -73,7 +73,10 @@ class TimingSidecarObserver(RunObserver):
         they annotate).  Round 0 and the final round always sample.
 
     Run start, end and abort lines carry ``rss_kb`` and
-    ``gc_collections`` readings.
+    ``gc_collections`` readings.  ``run_local`` pauses the cyclic
+    garbage collector for the length of a run, so the readings on
+    ``timing_run_start`` and ``timing_run_end`` bracket a paused
+    collector: the count moves only between runs.
 
     Every line carries ``t`` — seconds since the observer was attached
     (``time.perf_counter`` deltas, monotonic) — never absolute wall

@@ -1,18 +1,29 @@
 """Tests for the LOCAL engine: round semantics, model enforcement,
-halting, sleeping, double buffering."""
+halting, sleeping, double buffering, and the collector pause."""
+
+import gc
+import random
 
 import pytest
 
+from repro.algorithms.drivers import DRIVER_REGISTRY
 from repro.core import (
     DuplicateIDError,
     Model,
     ModelViolationError,
     SimulationError,
     SyncAlgorithm,
+    available_backend_names,
+    checkpointing,
+    observe_runs,
     run_local,
+    use_backend,
 )
 from repro.graphs import Graph
 from repro.graphs.generators import path_graph, star_graph
+from repro.obs import JsonlTraceObserver, MetricsObserver, RunObserver
+
+NUMPY_AVAILABLE = "vectorized" in available_backend_names()
 
 
 class HaltImmediately(SyncAlgorithm):
@@ -285,3 +296,186 @@ class TestInputs:
             ring, ReadGlobal(), Model.DET, global_params={"magic": 99}
         )
         assert all(out == 99 for out in result.outputs)
+
+
+# ----------------------------------------------------------------------
+# The cyclic garbage collector is paused for the length of a run
+# ----------------------------------------------------------------------
+class ReportCollector(SyncAlgorithm):
+    """Halts after one round with the collector's state as seen by
+    ``setup`` and by ``step`` (outputs cross the shard boundary)."""
+
+    def setup(self, ctx):
+        ctx.state["setup"] = gc.isenabled()
+        ctx.publish(0)
+
+    def step(self, ctx, inbox):
+        ctx.halt((ctx.state["setup"], gc.isenabled()))
+
+
+class RaiseWithCollector(SyncAlgorithm):
+    """Vertex 1 raises in ``setup`` or in round 0's ``step``, naming
+    the collector's state in the message."""
+
+    def __init__(self, phase):
+        self.phase = phase
+
+    def _maybe_raise(self, ctx, phase):
+        if phase == self.phase and ctx.id == 1:
+            raise RuntimeError(f"collector enabled: {gc.isenabled()}")
+
+    def setup(self, ctx):
+        self._maybe_raise(ctx, "setup")
+        ctx.publish(0)
+
+    def step(self, ctx, inbox):
+        self._maybe_raise(ctx, "step")
+        ctx.halt(0)
+
+
+class CollectorLog(RunObserver):
+    """Records ``gc.isenabled()`` at every callback it gets, including
+    the checkpoint hooks a resumed or replayed slot calls."""
+
+    checkpoint_capable = True
+
+    def __init__(self):
+        self.seen = []
+
+    def checkpoint_state(self):
+        self.seen.append(("checkpoint_state", gc.isenabled()))
+        return None
+
+    def restore_checkpoint(self, state):
+        self.seen.append(("restore_checkpoint", gc.isenabled()))
+
+    def on_run_start(self, meta):
+        self.seen.append(("on_run_start", gc.isenabled()))
+
+    def on_round_batch(self, batch):
+        self.seen.append(("on_round_batch", gc.isenabled()))
+
+    def on_run_end(self, result):
+        self.seen.append(("on_run_end", gc.isenabled()))
+
+
+@pytest.fixture
+def collector_enabled():
+    """Runs the test with the collector enabled, and leaves it enabled
+    whatever the test did to it."""
+    gc.enable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.usefixtures("collector_enabled")
+class TestCollectorPause:
+    @pytest.mark.parametrize("backend", available_backend_names())
+    def test_paused_inside_and_restored_after_a_run(self, backend):
+        log = CollectorLog()
+        result = run_local(
+            path_graph(8),
+            ReportCollector(),
+            Model.DET,
+            observers=[log],
+            backend=backend,
+        )
+        assert result.outputs == [(False, False)] * 8
+        assert {kind for kind, _ in log.seen} == {
+            "on_run_start",
+            "on_round_batch",
+            "on_run_end",
+        }
+        assert not any(enabled for _, enabled in log.seen)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("phase", ["setup", "step"])
+    @pytest.mark.parametrize("backend", available_backend_names())
+    def test_raising_run_restores_the_collector(self, backend, phase):
+        with pytest.raises(RuntimeError, match="collector enabled: False"):
+            run_local(
+                path_graph(8),
+                RaiseWithCollector(phase),
+                Model.DET,
+                backend=backend,
+            )
+        assert gc.isenabled()
+
+    def test_caller_disabled_collector_stays_disabled(self):
+        gc.disable()
+        result = run_local(path_graph(8), ReportCollector(), Model.DET)
+        assert result.outputs == [(False, False)] * 8
+        assert not gc.isenabled()
+
+    def test_fresh_and_replayed_checkpoint_slots(self, tmp_path):
+        fresh = CollectorLog()
+        with checkpointing(str(tmp_path), every_rounds=1) as scope:
+            first = run_local(
+                path_graph(8), ReportCollector(), Model.DET, observers=[fresh]
+            )
+        assert scope.events[-1]["action"] == "fresh"
+        assert ("checkpoint_state", False) in fresh.seen
+        assert not any(enabled for _, enabled in fresh.seen)
+        assert gc.isenabled()
+
+        replay = CollectorLog()
+        with checkpointing(
+            str(tmp_path), every_rounds=1, resume=True
+        ) as scope:
+            replayed = run_local(
+                path_graph(8), ReportCollector(), Model.DET, observers=[replay]
+            )
+        assert scope.events == [{"slot": 0, "action": "replayed"}]
+        assert replay.seen == [("restore_checkpoint", False)]
+        assert replayed == first
+        assert gc.isenabled()
+
+
+# ----------------------------------------------------------------------
+# The premise of the pause: a run leaves no cyclic garbage behind
+# ----------------------------------------------------------------------
+_PREMISE_BACKENDS = [
+    "fast",
+    "reference",
+    pytest.param(
+        "vectorized",
+        marks=pytest.mark.skipif(
+            not NUMPY_AVAILABLE,
+            reason="vectorized backend unavailable ([perf] extra not "
+            "installed)",
+        ),
+    ),
+]
+
+
+@pytest.mark.usefixtures("collector_enabled")
+@pytest.mark.parametrize("backend", _PREMISE_BACKENDS)
+@pytest.mark.parametrize("driver", sorted(DRIVER_REGISTRY))
+def test_observed_driver_run_leaves_no_cyclic_garbage(
+    driver, backend, tmp_path
+):
+    """With the collector off, a second observed run of a registry
+    driver leaves nothing for ``gc.collect()`` to free: the pause only
+    postpones collections that would have found nothing.  The warm-up
+    run absorbs one-time garbage (first-call functions, cells, types)."""
+    spec = DRIVER_REGISTRY[driver]
+    graph = spec.make_graph(spec.quick_n, random.Random(0))
+    seed = 0 if spec.accepts_seed else None
+
+    def observed_run():
+        trace = JsonlTraceObserver(str(tmp_path / "trace.jsonl"))
+        try:
+            with use_backend(backend), observe_runs(
+                MetricsObserver(), trace
+            ):
+                spec.run(graph, seed=seed)
+        finally:
+            trace.close()
+
+    observed_run()
+    gc.collect()
+    gc.disable()
+    observed_run()
+    assert gc.collect() == 0
