@@ -7,14 +7,25 @@ measurement function over a parameter grid with several seeds, collects
 bench file) makes every experiment's shape identical: generate → run →
 verify → record.
 
+One cell loop: inside :func:`run_sweep`, one function measures an
+attempt of a cell (at its :func:`retry_seed`, under the backend
+resolved once, a fresh observer and, with ``checkpoint_dir``, the
+cell's in-run checkpoint scope) and one function settles a cell (its
+:class:`CellOutcome`, its journal line, one progress tick).  A serial
+sweep calls both in process, in grid order, retrying
+:class:`~repro.core.errors.AlgorithmFailure`; a pooled sweep
+(``workers=N``) calls the same two from a process-per-cell fork pool,
+where a child measures and the parent settles.
+
 Telemetry: ``run_sweep(observer_factory=...)`` attaches a fresh
 observer (see :mod:`repro.obs`) around each cell's measurement and
 collects its ``summary()`` dict.  Summaries ride back from forked pool
 workers as pickled plain dicts and are reassembled in grid order, so
 the per-cell telemetry — like the values themselves — is bit-identical
-to a serial run.  A summary that cannot be pickled raises
-:class:`~repro.core.errors.TelemetryError` inside the worker with a
-clear message instead of a bare pool crash.
+to a serial run.  A forked child pickle-checks its summary before
+sending it: one that cannot be pickled raises
+:class:`~repro.core.errors.TelemetryError` naming the observer class,
+instead of a bare pool crash.
 
 Resilience: sweeps survive flaky cells and flaky infrastructure (see
 :mod:`repro.analysis.resilience` and ``docs/robustness.md``).
@@ -29,12 +40,17 @@ cell's fate, a crashed worker's included, is recorded in
 
 from __future__ import annotations
 
+import os
 import pickle
 import statistics
+from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.backend import current_backend_name, get_backend, use_backend
+from ..core.checkpoint import checkpointing
+from ..core.engine import observe_runs
 from ..core.errors import AlgorithmFailure, TelemetryError
 from .resilience import CellOutcome, SweepJournal, retry_seed
 
@@ -128,13 +144,6 @@ class Series:
         }
 
 
-#: True while cells run on a process pool — summaries must pickle.
-#: Set in the parent before forking so children inherit the flag and
-#: pickle-check their summaries at the source (a clear error there
-#: beats an opaque pipe crash on the way back).
-_POOLED = False
-
-
 def _check_observer(observer: Any) -> None:
     """Fail fast on factories producing unusable observers."""
     if not callable(getattr(observer, "summary", None)):
@@ -149,54 +158,6 @@ def _check_observer(observer: Any) -> None:
             "which lacks the RunObserver callbacks — subclass "
             "repro.obs.RunObserver"
         )
-
-
-def _cell_summary(observer: Any) -> Dict[str, Any]:
-    """Extract and (when pooled) pickle-check an observer's summary."""
-    summary = observer.summary()
-    if _POOLED:
-        try:
-            pickle.dumps(summary)
-        except Exception as exc:
-            raise TelemetryError(
-                f"cell telemetry summary from "
-                f"{type(observer).__name__} is not picklable and "
-                "cannot be merged back from a pool worker: "
-                f"{exc}.  Keep summaries plain dicts of JSON-safe "
-                "values, or run the sweep with workers=None."
-            ) from exc
-    return summary
-
-
-def _attempt(
-    x: float,
-    effective_seed: int,
-    measure: Callable[[float, int], float],
-    observer_factory: Optional[Callable[[], Any]],
-    backend: str,
-) -> Tuple[float, Any]:
-    """One measurement attempt; returns ``(value, observer)``.
-
-    ``AlgorithmFailure`` and genuine bugs propagate to the caller —
-    retry policy is the caller's business, not the attempt's.
-
-    ``backend`` is the backend ``run_sweep`` resolved once from the
-    ambient selection, re-attached around the measurement so every
-    ``run_local`` call it makes — serial or inside a forked pool
-    worker — uses the same engine (the name travels to children as a
-    plain string, never as inherited mutable scope state).
-    """
-    observer = observer_factory() if observer_factory is not None else None
-    if observer is not None:
-        _check_observer(observer)
-    if observer is None:
-        with use_backend(backend):
-            return float(measure(x, effective_seed)), None
-    from ..core.engine import observe_runs
-
-    with use_backend(backend), observe_runs(observer):
-        value = float(measure(x, effective_seed))
-    return value, observer
 
 
 def run_sweep(
@@ -303,65 +264,105 @@ def run_sweep(
         )
     outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
     summaries: List[Any] = [None] * len(cells)
-    done: Dict[int, Any] = {}
-    settled = [0]
-    ticker: Optional[Callable[[Any], None]] = None
-    if progress is not None:
-        total = len(cells)
+    settled = 0
 
-        def ticker(outcome: Any) -> None:
-            settled[0] += 1
-            progress(settled[0], total, outcome)
+    def measure_attempt(index: int, attempt: int) -> Tuple[float, Any]:
+        """Attempt ``attempt`` of cell ``index``: ``(value, observer)``.
+
+        The measurement runs at the attempt's :func:`retry_seed`, under
+        the backend resolved above (re-attached by name, so a forked
+        child uses it too), a fresh observer from ``observer_factory``
+        and, with ``checkpoint_dir``, the cell's own in-run checkpoint
+        scope.  ``resume=True`` is safe on a first attempt: an empty
+        cell directory starts fresh, and snapshots of another run
+        identity (a retry's derived seed) are rejected by fingerprint.
+        ``AlgorithmFailure`` and genuine bugs propagate to the caller.
+        """
+        x, seed = cells[index]
+        observer = None
+        if observer_factory is not None:
+            observer = observer_factory()
+            _check_observer(observer)
+        with ExitStack() as scopes:
+            scopes.enter_context(use_backend(backend))
+            if observer is not None:
+                scopes.enter_context(observe_runs(observer))
+            if checkpoint_dir is not None:
+                scopes.enter_context(
+                    checkpointing(
+                        os.path.join(checkpoint_dir, f"cell-{index:04d}"),
+                        every_rounds=checkpoint_every,
+                        resume=True,
+                    )
+                )
+            value = float(measure(x, retry_seed(seed, attempt)))
+        return value, observer
+
+    def settle(
+        index: int,
+        attempts: int,
+        status: str,
+        value: Optional[float] = None,
+        summary: Any = None,
+        error: str = "",
+    ) -> None:
+        """Record cell ``index`` after its final attempt: its outcome,
+        its journal line and one progress tick."""
+        nonlocal settled
+        x, seed = cells[index]
+        outcome = CellOutcome(
+            x, seed, status, value, attempts,
+            retry_seed(seed, attempts - 1), error,
+        )
+        outcomes[index] = outcome
+        summaries[index] = summary
+        if sweep_journal is not None:
+            sweep_journal.record(index, outcome, summary)
+        settled += 1
+        if progress is not None:
+            progress(settled, len(cells), outcome)
 
     try:
         if sweep_journal is not None:
-            done = dict(sweep_journal.completed)
-            for index, (outcome, summary) in done.items():
+            for index, (outcome, summary) in sweep_journal.completed.items():
                 outcomes[index] = outcome
                 summaries[index] = summary
-            if done and progress is not None:
-                settled[0] = len(done)
-                progress(settled[0], len(cells), None)
-        pool_ctx = None
+            settled = len(sweep_journal.completed)
+            if settled and progress is not None:
+                progress(settled, len(cells), None)
+        pending = [i for i, o in enumerate(outcomes) if o is None]
+        pool = None
         if workers is not None and workers > 1 and len(cells) > 1:
             import multiprocessing
 
             try:
-                pool_ctx = multiprocessing.get_context("fork")
+                pool = multiprocessing.get_context("fork")
             except ValueError:  # platform without fork: degrade to serial
-                pool_ctx = None
-        if pool_ctx is None:
-            _run_serial(
-                cells,
-                measure,
-                observer_factory,
-                retries,
-                sweep_journal,
-                done,
-                outcomes,
-                summaries,
-                backend,
-                ticker,
-                checkpoint_dir,
-                checkpoint_every,
-            )
+                pool = None
+        if pool is None:
+            # In process, never forked: a caller that records what its
+            # runs do (a profiler, a benchmark's digests) sees every run.
+            for index in pending:
+                attempt = 0
+                while True:
+                    try:
+                        value, observer = measure_attempt(index, attempt)
+                        break
+                    except AlgorithmFailure:
+                        if attempt == retries:
+                            raise
+                        attempt += 1
+                summary = observer.summary() if observer is not None else None
+                settle(index, attempt + 1, "ok", value, summary)
         else:
             assert workers is not None
-            _run_pooled(
-                cells,
-                measure,
-                observer_factory,
-                retries,
+            _run_forked(
+                pool,
                 min(workers, len(cells)),
-                pool_ctx,
-                sweep_journal,
-                done,
-                outcomes,
-                summaries,
-                backend,
-                ticker,
-                checkpoint_dir,
-                checkpoint_every,
+                retries,
+                pending,
+                measure_attempt,
+                settle,
             )
     finally:
         if sweep_journal is not None:
@@ -389,161 +390,128 @@ def run_sweep(
     return series
 
 
-def _run_serial(
-    cells: List[Tuple[float, int]],
-    measure: Callable[[float, int], float],
-    observer_factory: Optional[Callable[[], Any]],
-    retries: int,
-    sweep_journal: Optional[SweepJournal],
-    done: Dict[int, Any],
-    outcomes: List[Optional[CellOutcome]],
-    summaries: List[Any],
-    backend: str,
-    ticker: Optional[Callable[[Any], None]] = None,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every: int = 256,
-) -> None:
-    """Evaluate cells inline, in grid order, with bounded retries."""
-    from .resilience import _run_cell
-
-    for index, (x, seed) in enumerate(cells):
-        if index in done:
-            continue
-        attempt = 0
-        while True:
-            effective = retry_seed(seed, attempt)
-            try:
-                value, observer = _run_cell(
-                    lambda i, a: _attempt(
-                        x, effective, measure, observer_factory, backend
-                    ),
-                    index,
-                    attempt,
-                    checkpoint_dir,
-                    checkpoint_every,
-                )
-                break
-            except AlgorithmFailure:
-                if attempt == retries:
-                    raise
-                attempt += 1
-        summaries[index] = (
-            _cell_summary(observer) if observer is not None else None
-        )
-        outcome = CellOutcome(x, seed, "ok", value, attempt + 1, effective)
-        outcomes[index] = outcome
-        if sweep_journal is not None:
-            sweep_journal.record(index, outcome, summaries[index])
-        if ticker is not None:
-            ticker(outcome)
-
-
-def _run_pooled(
-    cells: List[Tuple[float, int]],
-    measure: Callable[[float, int], float],
-    observer_factory: Optional[Callable[[], Any]],
-    retries: int,
+def _run_forked(
+    pool: Any,
     workers: int,
-    pool_ctx: Any,
-    sweep_journal: Optional[SweepJournal],
-    done: Dict[int, Any],
-    outcomes: List[Optional[CellOutcome]],
-    summaries: List[Any],
-    backend: str,
-    ticker: Optional[Callable[[Any], None]] = None,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every: int = 256,
+    retries: int,
+    pending: List[int],
+    measure_attempt: Callable[[int, int], Tuple[float, Any]],
+    settle: Callable[..., None],
 ) -> None:
-    """Fan cells out to the resilient process-per-cell fork pool."""
-    from .resilience import run_cells_resilient
+    """Run the ``pending`` cells of a sweep on a process-per-cell fork
+    pool.
 
-    def child_payload(index: int, attempt: int) -> Tuple[Any, ...]:
-        # Runs in a forked child; ships a picklable verdict, never an
-        # uncaught exception (an unreported death is a "crashed" cell).
-        x, seed = cells[index]
-        try:
-            try:
-                value, observer = _attempt(
-                    x,
-                    retry_seed(seed, attempt),
-                    measure,
-                    observer_factory,
-                    backend,
-                )
-            except AlgorithmFailure as exc:
-                # Declared failures cross the pipe as strings — fault
-                # plans and run metadata hanging off the exception may
-                # not pickle, and the parent only needs the message.
-                return ("failed", str(exc))
-            summary = (
-                _cell_summary(observer) if observer is not None else None
-            )
-            return ("ok", value, summary)
-        except Exception as exc:  # genuine bug: propagate to the parent
-            try:
-                pickle.dumps(exc)
-                return ("error", exc)
-            except Exception:
-                return ("error_repr", repr(exc))
+    Cells launch in index order, at most ``workers`` children at once,
+    and the parent blocks on the result pipes with
+    :func:`multiprocessing.connection.wait` — no polling interval.  A
+    child that dies without reporting (SIGKILL, OOM kill, hard
+    interpreter abort) fails its own cell: like a declared failure it
+    is re-run at the next attempt while ``retries`` last, and then
+    settles as ``crashed``.  A declared failure past its retries, or
+    any other exception, aborts the sweep once every live child is
+    killed.  Retried cells rejoin the back of the queue, so cells
+    settle in completion order; ``run_sweep`` reassembles them in grid
+    order.
+    """
+    import multiprocessing.connection as mp_connection
 
-    def classify(status: str, payload: Any) -> bool:
-        if status != "done":  # the worker died without reporting
-            return True
-        kind = payload[0]
-        if kind == "ok":
-            return False
-        if kind == "failed":
-            return True
-        if kind == "error":
-            raise payload[1]
-        raise RuntimeError(
-            "sweep worker raised an exception that could not cross "
-            f"the process boundary: {payload[1]}"
-        )
-
-    def on_result(
-        index: int, status: str, payload: Any, attempts: int
-    ) -> None:
-        x, seed = cells[index]
-        effective = retry_seed(seed, attempts - 1)
-        summary = None
-        if status == "crashed":
-            outcome = CellOutcome(
-                x, seed, "crashed", None, attempts, effective,
-                "worker process died without reporting a result",
-            )
-        elif payload[0] == "ok":
-            outcome = CellOutcome(
-                x, seed, "ok", payload[1], attempts, effective
-            )
-            summary = payload[2]
-        else:  # ("failed", message)
-            raise AlgorithmFailure(payload[1])
-        outcomes[index] = outcome
-        summaries[index] = summary
-        if sweep_journal is not None:
-            sweep_journal.record(index, outcome, summary)
-        if ticker is not None:
-            ticker(outcome)
-
-    global _POOLED
-    previous_pooled = _POOLED
-    _POOLED = True
+    queue = deque((index, 0) for index in pending)
+    # result pipe -> (index, attempt, process)
+    active: Dict[Any, Tuple[int, int, Any]] = {}
     try:
-        run_cells_resilient(
-            pool_ctx,
-            len(cells),
-            child_payload,
-            classify,
-            workers=workers,
-            retries=retries,
-            skip=done,
-            on_result=on_result,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-        )
+        while queue or active:
+            while queue and len(active) < workers:
+                index, attempt = queue.popleft()
+                recv_end, send_end = pool.Pipe(duplex=False)
+                proc = pool.Process(
+                    target=_forked_attempt,
+                    args=(send_end, measure_attempt, index, attempt),
+                )
+                proc.start()
+                # Close the parent's copy of the write end: a child
+                # that dies without sending then yields EOF instead of
+                # a pipe that never becomes ready.
+                send_end.close()
+                active[recv_end] = (index, attempt, proc)
+            for conn in mp_connection.wait(list(active)):
+                index, attempt, proc = active.pop(conn)
+                try:
+                    verdict = conn.recv()
+                except EOFError:
+                    verdict = (
+                        "crashed",
+                        "worker process died without reporting a result",
+                    )
+                conn.close()
+                proc.join()
+                kind = verdict[0]
+                if kind == "ok":
+                    settle(index, attempt + 1, "ok", verdict[1], verdict[2])
+                elif kind in ("failed", "crashed") and attempt < retries:
+                    queue.append((index, attempt + 1))
+                elif kind == "crashed":
+                    settle(index, attempt + 1, "crashed", error=verdict[1])
+                elif kind == "failed":
+                    raise AlgorithmFailure(verdict[1])
+                elif kind == "error":
+                    raise verdict[1]
+                else:
+                    raise RuntimeError(
+                        "sweep worker raised an exception that could not "
+                        f"cross the process boundary: {verdict[1]}"
+                    )
     finally:
-        _POOLED = previous_pooled
+        for conn, (_, _, proc) in active.items():
+            proc.kill()
+            proc.join()
+            conn.close()
+
+
+def _forked_attempt(
+    conn: Any,
+    measure_attempt: Callable[[int, int], Tuple[float, Any]],
+    index: int,
+    attempt: int,
+) -> None:
+    """Forked child: measure one attempt and send the parent a
+    picklable verdict — ``("ok", value, summary)``, ``("failed",
+    message)``, ``("error", exception)`` or ``("error_repr", repr)`` —
+    so that only a child that dies outright leaves its pipe empty."""
+    verdict: Tuple[Any, ...]
+    try:
+        value, observer = measure_attempt(index, attempt)
+        summary = observer.summary() if observer is not None else None
+        try:
+            pickle.dumps(summary)
+        except Exception as exc:
+            # A clear error here beats an opaque pipe failure later.
+            raise TelemetryError(
+                f"cell telemetry summary from "
+                f"{type(observer).__name__} is not picklable and "
+                "cannot be merged back from a pool worker: "
+                f"{exc}.  Keep summaries plain dicts of JSON-safe "
+                "values, or run the sweep with workers=None."
+            ) from exc
+        verdict = ("ok", value, summary)
+    except AlgorithmFailure as exc:
+        # Declared failures cross the pipe as strings — fault plans and
+        # run metadata hanging off the exception may not pickle, and
+        # the parent only needs the message.
+        verdict = ("failed", str(exc))
+    except Exception as exc:  # a genuine bug: the parent re-raises it
+        try:
+            pickle.dumps(exc)
+            verdict = ("error", exc)
+        except Exception:
+            verdict = ("error_repr", repr(exc))
+    except BaseException as exc:
+        # KeyboardInterrupt, SystemExit, ...: the child exits right
+        # after reporting, and the parent raises in its place.
+        verdict = ("error_repr", repr(exc))
+    try:
+        conn.send(verdict)
+    finally:
+        conn.close()
 
 
 @dataclass

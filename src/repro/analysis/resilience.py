@@ -1,7 +1,8 @@
-"""Resilience machinery for :func:`repro.analysis.run_sweep`.
+"""Resilience records for :func:`repro.analysis.run_sweep`.
 
-Three pieces live here, all deliberately independent of what a sweep
-cell *measures*:
+Two pieces live here, both deliberately independent of what a sweep
+cell *measures* and of how the sweep runs its cells (the one cell loop,
+serial or forked, is in :mod:`repro.analysis.experiments`):
 
 - :func:`retry_seed` — deterministic re-seeding for bounded retries.
   Attempt 0 uses the cell's own seed (so a sweep with ``retries=0`` is
@@ -21,13 +22,6 @@ cell *measures*:
   do not survive a JSON round-trip rather than silently corrupting the
   resume contract.
 
-- :func:`run_cells_resilient` — a process-per-cell fork scheduler that
-  survives worker crash-stop (a SIGKILLed worker fails its cell, not
-  the sweep) and requeues retryable cells with bumped attempt numbers.
-  The parent blocks on the result pipes with
-  :func:`multiprocessing.connection.wait` — there is no polling
-  interval to inflate latency.
-
 :class:`CellOutcome` is the per-cell audit record the sweep attaches to
 its :class:`~repro.analysis.experiments.Series` — crashed cells
 included.
@@ -38,16 +32,8 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections import deque
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Any, Dict, Optional, Tuple
 
 from ..core.atomicio import fsync_stream
 from ..core.errors import TelemetryError
@@ -58,10 +44,8 @@ __all__ = [
     "JOURNAL_VERSION",
     "SweepJournal",
     "retry_seed",
-    "run_cells_resilient",
 ]
 
-_MASK = 0xFFFFFFFFFFFFFFFF
 _RETRY_STREAM = 0xA5EED5EED5EED5EE
 
 
@@ -254,160 +238,3 @@ class SweepJournal:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-def run_cells_resilient(
-    mp_context: Any,
-    count: int,
-    child_payload: Callable[[int, int], Any],
-    classify: Callable[[str, Any], bool],
-    workers: int,
-    retries: int,
-    skip: Optional[Dict[int, Any]] = None,
-    on_result: Optional[Callable[[int, str, Any, int], None]] = None,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every: int = 256,
-) -> List[Optional[Tuple[str, Any, int]]]:
-    """Run ``count`` cells on a process-per-cell fork pool.
-
-    ``child_payload(index, attempt)`` runs in a forked child and must
-    return a picklable payload without raising (convert exceptions to
-    payloads; a child that *does* die unreported is a ``crashed`` cell,
-    which is exactly the pathology this scheduler absorbs).  The parent
-    calls ``classify(status, payload)`` on every completion — status is
-    ``done`` or ``crashed`` — and a True return requeues the
-    cell (until ``retries`` is exhausted) with the attempt counter
-    bumped; ``classify`` may raise to abort the sweep, in which case
-    every in-flight worker is killed before the exception propagates.
-    ``on_result(index, status, payload, attempts_made)`` fires as each
-    cell settles terminally (in completion order — checkpoint journals
-    hook in here); it too may raise to abort.
-
-    With ``checkpoint_dir``, each cell runs inside an ambient
-    :func:`repro.core.checkpoint.checkpointing` scope rooted at
-    ``checkpoint_dir/cell-NNNN`` with ``resume=True``: every
-    ``run_local`` the payload makes snapshots at round boundaries, and
-    a cell whose previous incarnation died mid-run (a killed sweep
-    re-launched with the same directory, or a crashed worker whose
-    payload re-derives the same run) resumes from its last snapshot
-    instead of round 0.  Snapshots are fingerprinted by run identity —
-    a retry whose payload derives a *different* seed (see
-    :func:`retry_seed`) starts fresh rather than resuming into the
-    wrong run.
-
-    Returns, per cell index, ``(status, payload, attempts_made)`` —
-    or ``None`` for indices listed in ``skip`` (already completed,
-    e.g. replayed from a journal).  Cells launch in index order, so a
-    deterministic ``child_payload`` yields results independent of
-    completion order; at most ``workers`` children run at once.
-    """
-    import multiprocessing.connection as mp_connection
-
-    results: List[Optional[Tuple[str, Any, int]]] = [None] * count
-    pending = deque(
-        (index, 0)
-        for index in range(count)
-        if skip is None or index not in skip
-    )
-    # conn -> (index, attempt, process)
-    active: Dict[Any, Tuple[int, int, Any]] = {}
-
-    def settle(status: str, payload: Any, index: int, attempt: int) -> None:
-        if classify(status, payload) and attempt < retries:
-            pending.append((index, attempt + 1))
-        else:
-            results[index] = (status, payload, attempt + 1)
-            if on_result is not None:
-                on_result(index, status, payload, attempt + 1)
-
-    try:
-        while pending or active:
-            while pending and len(active) < workers:
-                index, attempt = pending.popleft()
-                recv_end, send_end = mp_context.Pipe(duplex=False)
-                proc = mp_context.Process(
-                    target=_child_entry,
-                    args=(
-                        send_end,
-                        child_payload,
-                        index,
-                        attempt,
-                        checkpoint_dir,
-                        checkpoint_every,
-                    ),
-                )
-                proc.start()
-                # Close the parent's copy of the write end: a child
-                # that dies without sending then yields EOF instead of
-                # a pipe that never becomes ready.
-                send_end.close()
-                active[recv_end] = (index, attempt, proc)
-            for conn in mp_connection.wait(list(active)):
-                index, attempt, proc = active.pop(conn)
-                try:
-                    payload = conn.recv()
-                    status = "done"
-                except EOFError:
-                    payload = None
-                    status = "crashed"
-                conn.close()
-                proc.join()
-                settle(status, payload, index, attempt)
-    finally:
-        for conn, (_, _, proc) in active.items():
-            proc.kill()
-            proc.join()
-            conn.close()
-    return results
-
-
-def _run_cell(
-    child_payload: Callable[[int, int], Any],
-    index: int,
-    attempt: int,
-    checkpoint_dir: Optional[str],
-    checkpoint_every: int,
-) -> Any:
-    """Evaluate one cell, under an in-run checkpoint scope when asked.
-
-    Shared by the forked pool child and the serial sweep path so both
-    recover identically.  ``resume=True`` is safe on a first attempt:
-    an empty cell directory simply starts fresh, and stale snapshots
-    from a *different* run identity are rejected by fingerprint."""
-    if checkpoint_dir is None:
-        return child_payload(index, attempt)
-    from ..core.checkpoint import checkpointing
-
-    cell_dir = os.path.join(checkpoint_dir, f"cell-{index:04d}")
-    with checkpointing(
-        cell_dir, every_rounds=checkpoint_every, resume=True
-    ):
-        return child_payload(index, attempt)
-
-
-def _child_entry(
-    conn: Any,
-    child_payload: Callable[[int, int], Any],
-    index: int,
-    attempt: int,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every: int = 256,
-) -> None:
-    """Forked child bootstrap: evaluate the cell, ship the payload."""
-    try:
-        payload = _run_cell(
-            child_payload, index, attempt, checkpoint_dir, checkpoint_every
-        )
-    except BaseException as exc:  # defensive: child_payload should not raise
-        payload = ("error_repr", repr(exc))
-    try:
-        conn.send(payload)
-    except Exception as exc:
-        # Unpicklable payload despite the contract — report *something*
-        # rather than presenting as a crash.
-        try:
-            conn.send(("error_repr", f"unpicklable cell payload: {exc!r}"))
-        except Exception:
-            pass
-    finally:
-        conn.close()

@@ -68,6 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "CHECKPOINT_VERSION",
+    "HEARTBEAT_SECONDS",
     "CheckpointError",
     "CheckpointPolicy",
     "CheckpointScope",
@@ -80,6 +81,9 @@ __all__ = [
 
 CHECKPOINT_SCHEMA = "repro.core.checkpoint"
 CHECKPOINT_VERSION = 1
+#: Least time between two clock-driven heartbeats (a snapshot save
+#: always beats).  ``supervise_run``'s watchdog must exceed it.
+HEARTBEAT_SECONDS = 0.5
 
 _PathLike = Union[str, "os.PathLike[str]"]
 
@@ -107,16 +111,16 @@ class CheckpointPolicy:
 
     ``resume`` makes runs under this policy restore from existing
     snapshots instead of overwriting them.  ``heartbeat`` is a plane-2
-    hook the supervisor uses: called with ``{"slot": s, "rounds": r}``
-    at most every ``heartbeat_seconds``, never on the no-checkpoint hot
-    path.
+    hook the supervisor uses: called with ``{"slot": s, "rounds": r,
+    "saved": ...}`` at a round boundary at most every
+    :data:`HEARTBEAT_SECONDS`, and with every snapshot save; never on
+    the no-checkpoint hot path.
     """
 
     path: str
     every_rounds: int
     resume: bool = False
     heartbeat: Optional[Callable[[Dict[str, Any]], None]] = None
-    heartbeat_seconds: float = 0.5
 
     def __post_init__(self) -> None:
         if not self.path:
@@ -217,7 +221,7 @@ class CheckpointScope:
     snapshots past a fresh slot describe a run that no longer exists.
     ``heartbeat_last`` is when the last heartbeat went out: the
     throttle spans slots, so a driver made of many short phases still
-    beats every ``heartbeat_seconds``.
+    beats every :data:`HEARTBEAT_SECONDS`.
     """
 
     policy: CheckpointPolicy
@@ -506,7 +510,7 @@ class CheckpointSession:
 
     def _maybe_heartbeat(self, rounds: int) -> None:
         now = time.monotonic()
-        if now - self.scope.heartbeat_last >= self.policy.heartbeat_seconds:
+        if now - self.scope.heartbeat_last >= HEARTBEAT_SECONDS:
             self.scope.heartbeat_last = now
             hb = self.policy.heartbeat
             if hb is not None:

@@ -479,7 +479,6 @@ def test_heartbeat_reports_saves(tmp_path):
         path=str(tmp_path),
         every_rounds=2,
         heartbeat=beats.append,
-        heartbeat_seconds=1e9,
     )
     with checkpointing(policy):
         run_noisy()

@@ -796,7 +796,8 @@ class TestTimingSidecar:
         assert "color-bidding" in text
         assert "done" in text
 
-    def test_sweep_progress_callback_fires_per_cell(self):
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_sweep_progress_callback_fires_per_cell(self, workers):
         from repro.analysis.experiments import run_sweep
 
         ticks = []
@@ -805,10 +806,13 @@ class TestTimingSidecar:
             [2.0, 3.0],
             lambda x, seed: x,
             seeds=(0, 1),
+            workers=workers,
             progress=lambda done, total, outcome: ticks.append(
                 (done, total, outcome.status)
             ),
         )
+        # The count rises once per settled cell, whatever order a pool
+        # settles them in.
         assert [(d, t) for d, t, _ in ticks] == [
             (1, 4),
             (2, 4),

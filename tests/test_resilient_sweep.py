@@ -265,6 +265,35 @@ class TestJournal:
         )
         assert pickle.dumps(resumed) == pickle.dumps(uninterrupted)
 
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_resumed_progress_counts_on_from_the_journal(
+        self, tmp_path, workers
+    ):
+        journal = str(tmp_path / "progress.jsonl")
+        with pytest.raises(RuntimeError, match="power loss"):
+            run_sweep(
+                "progress", self.XS, abort_late,
+                seeds=self.SEEDS, journal=journal, workers=workers,
+            )
+        replayed = len(open(journal).read().splitlines()) - 1
+        # Serially every cell before the abort is journaled; a pool
+        # runs the last two cells side by side, so the other one may
+        # or may not have settled before the abort killed it.
+        assert replayed in ((5,) if workers is None else (4, 5))
+        ticks = []
+        run_sweep(
+            "progress", self.XS, well_behaved,
+            seeds=self.SEEDS, journal=journal, workers=workers,
+            progress=lambda done, total, outcome: ticks.append(
+                (done, total, outcome and outcome.status)
+            ),
+        )
+        # One tick for the replayed batch, then one per measured cell,
+        # counting on from the replayed ones.
+        assert ticks == [(replayed, 6, None)] + [
+            (done, 6, "ok") for done in range(replayed + 1, 7)
+        ]
+
     def test_complete_journal_replays_without_measuring(self, tmp_path):
         journal = str(tmp_path / "done.jsonl")
         first = run_sweep(

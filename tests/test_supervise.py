@@ -166,7 +166,7 @@ def test_watchdog_spares_a_slow_healthy_run(tmp_path, phases, rounds):
     """A healthy run of few, slow rounds (~1.5-2 s, no snapshot due)
     outlives a 1 s watchdog only if every round boundary may send a
     heartbeat on the clock — not every 64th boundary, and not only
-    once a single ``run_local`` call has lasted ``heartbeat_seconds``
+    once a single ``run_local`` call has lasted ``HEARTBEAT_SECONDS``
     (the five-phase case has ~0.4 s phases)."""
 
     def target():
