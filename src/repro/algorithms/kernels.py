@@ -26,7 +26,7 @@ it takes to accelerate one.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -111,7 +111,9 @@ class ColorBiddingKernel(RoundKernel):
         super().__init__(run, algorithm)
         config = run.globals["config"]
         self.delta = run.max_degree
-        self.schedule: List[float] = config.escalation_schedule(self.delta)
+        self.schedule: Tuple[float, ...] = config.escalation_schedule(
+            self.delta
+        )
         self.guard: float = self.delta / config.palette_guard
         self.main_palette: int = run.globals["main_palette"]
         n = run.n
@@ -327,9 +329,9 @@ class _LinialKernelBase(RoundKernel):
     keeps publishing its frozen color exactly like a halted scalar
     context.  A frozen color from an earlier stage may lie outside the
     current stage's family — the scalar path raises ``ValueError`` from
-    ``cover_free_set`` when a stepping vertex reads it, mirrored here
-    (including its precedence against the cover-free
-    ``AssertionError``, per scalar vertex order).
+    ``linial_recolor``'s base-q digit extraction when a stepping vertex
+    reads it, mirrored here (including its precedence against the
+    cover-free ``AssertionError``, per scalar vertex order).
     """
 
     def _degree_param(self, run: VectorRun) -> int:
@@ -361,7 +363,7 @@ class _LinialKernelBase(RoundKernel):
         if k0 is None:
             k0 = 1 << max(1, (run.n - 1).bit_length())
         # Out-of-range IDs make the scalar path raise from
-        # cover_free_set; keep that path authoritative.
+        # linial_recolor; keep that path authoritative.
         return bool(
             run.n == 0
             or (run.ids.min() >= 0 and run.ids.max() < k0)
@@ -384,7 +386,7 @@ class _LinialKernelBase(RoundKernel):
         d, q = choose_cover_free_params(k, self.degree)
         # Base-q coefficient extraction of every published color.  A
         # frozen crashed color can exceed q^(d+1) (non-zero remainder);
-        # the scalar path raises from cover_free_set if it is read.
+        # the scalar path raises from linial_recolor if it is read.
         coeffs = []
         rest = self.colors.copy()
         for _ in range(d + 1):

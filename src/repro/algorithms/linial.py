@@ -21,6 +21,16 @@ parameter search in :func:`choose_cover_free_params` this is
 ``5Δ² log k``, which changes no asymptotic used anywhere in the paper
 (the iterated fixed point is still ``O(Δ²)``; see DESIGN.md).
 
+A recoloring step builds no set.  The elements ``x·q + p_i(x)`` of
+``S_i`` ascend with ``x``, and ``S_j`` contains ``x·q + p_i(x)`` exactly
+when ``p_j(x) = p_i(x)``; so the smallest element of ``S_i`` outside the
+neighbors' sets sits at the smallest evaluation point ``x`` where no
+neighbor's polynomial agrees with ``p_i``.  :func:`linial_recolor` scans
+``x = 0, 1, ..`` and usually stops at the first point — the same rule
+the vectorized Linial kernel applies to all vertices at once.
+:func:`cover_free_set` still builds whole sets for callers that index
+them (the randomized-from-deterministic transform, the tests).
+
 The module also provides the *oriented* variant used on forests: if every
 vertex avoids only its **out**-neighbors along a given orientation with
 out-degree ≤ d, the same argument colors with a palette depending on d
@@ -91,10 +101,9 @@ def cover_free_palette_size(k: int, degree: int) -> int:
     return q * q
 
 
-@lru_cache(maxsize=65536)
-def cover_free_set(color: int, d: int, q: int) -> frozenset:
-    """The set ``S_color``: the graph of the polynomial encoded by
-    ``color`` in base ``q``, as elements ``x * q + p(x)``."""
+def _coefficients(color: int, d: int, q: int) -> List[int]:
+    """The ``d + 1`` base-``q`` digits of ``color``: the coefficients of
+    the polynomial ``p_color`` over F_q, highest degree first."""
     coeffs = []
     rest = color
     for _ in range(d + 1):
@@ -102,14 +111,24 @@ def cover_free_set(color: int, d: int, q: int) -> frozenset:
         rest //= q
     if rest:
         raise ValueError(f"color {color} out of range for q={q}, d={d}")
-    out = set()
-    for x in range(q):
-        # Horner evaluation of p(x) mod q.
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % q
-        out.add(x * q + acc)
-    return frozenset(out)
+    coeffs.reverse()
+    return coeffs
+
+
+def _evaluate(coeffs: List[int], x: int, q: int) -> int:
+    """Horner evaluation of ``p(x) mod q``."""
+    acc = 0
+    for c in coeffs:
+        acc = (acc * x + c) % q
+    return acc
+
+
+@lru_cache(maxsize=65536)
+def cover_free_set(color: int, d: int, q: int) -> frozenset:
+    """The set ``S_color``: the graph of the polynomial encoded by
+    ``color`` in base ``q``, as elements ``x * q + p(x)``."""
+    coeffs = _coefficients(color, d, q)
+    return frozenset(x * q + _evaluate(coeffs, x, q) for x in range(q))
 
 
 def linial_recolor(
@@ -119,29 +138,45 @@ def linial_recolor(
 
     ``neighbor_colors`` are the colors this vertex must escape from: all
     neighbors for the classic algorithm, out-neighbors only for the
-    oriented variant.  Returns a color in ``0 .. q²-1``.
+    oriented variant.  Returns a color in ``0 .. q²-1``: the smallest
+    element of ``S_color`` outside every escaped neighbor's set.
+
+    No set is built.  The elements ``x·q + p(x)`` of a set ascend with
+    ``x`` (``0 <= p(x) < q``), and ``x·q + p_color(x)`` lies in
+    ``S_c`` exactly when ``p_c(x) = p_color(x)``.  So the answer is
+    ``x·q + p_color(x)`` at the smallest ``x`` where no escaped
+    neighbor's polynomial agrees with this vertex's.  Digits are read
+    own color first, then neighbors in order, so an out-of-range color
+    raises the same ``ValueError`` as :func:`cover_free_set` would.
     """
     d, q = choose_cover_free_params(k, degree)
-    own = cover_free_set(color, d, q)
-    covered = set()
-    for c in neighbor_colors:
-        covered |= cover_free_set(c, d, q)
-    for element in sorted(own):
-        if element not in covered:
-            return element
+    own = _coefficients(color, d, q)
+    others = [_coefficients(c, d, q) for c in neighbor_colors]
+    for x in range(q):
+        value = _evaluate(own, x, q)
+        for coeffs in others:
+            if _evaluate(coeffs, x, q) == value:
+                break
+        else:
+            return x * q + value
     raise AssertionError(
         "cover-free property violated — more neighbors than the family "
         "parameter supports"
     )
 
 
-def linial_schedule(k0: int, degree: int, floor: Optional[int] = None) -> List[int]:
-    """Palette sizes ``[k0, k1, ..]`` of iterated recoloring, stopping
+@lru_cache(maxsize=4096)
+def linial_schedule(
+    k0: int, degree: int, floor: Optional[int] = None
+) -> Tuple[int, ...]:
+    """Palette sizes ``(k0, k1, ..)`` of iterated recoloring, stopping
     when the palette stops shrinking (or drops to ``floor``).
 
     Every vertex can compute this schedule locally from the public
     parameters, so all vertices agree on the number of rounds — that is
-    how the distributed algorithm knows when to stop.
+    how the distributed algorithm knows when to stop.  It depends on
+    common knowledge only, so it is computed once per argument tuple and
+    shared (read-only) by every vertex.
     """
     schedule = [k0]
     while True:
@@ -154,7 +189,7 @@ def linial_schedule(k0: int, degree: int, floor: Optional[int] = None) -> List[i
             break
         if len(schedule) > 10_000:
             raise AssertionError("schedule did not converge")
-    return schedule
+    return tuple(schedule)
 
 
 def linial_fixed_point(degree: int) -> int:

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from functools import lru_cache
+from typing import List, Optional, Set, Tuple
 
 from .drivers import AlgorithmReport, PhaseLog
 from .tree_coloring import barenboim_elkin_coloring
@@ -66,10 +67,12 @@ class ColorBiddingConfig:
     growth_denominator: float = 8.0
     cap_exponent: float = 0.1
 
-    def escalation_schedule(self, delta: int) -> List[float]:
+    @lru_cache(maxsize=4096)
+    def escalation_schedule(self, delta: int) -> Tuple[float, ...]:
         """The sequence ``c_1 .. c_t`` (t = first index hitting the cap
         ``Δ^cap_exponent``); its length is the number of Phase-1
-        iterations, O(log* Δ)."""
+        iterations, O(log* Δ).  Common knowledge: computed once per
+        ``(config, Δ)`` and shared read-only by every vertex."""
         cap = max(1.0, float(delta) ** self.cap_exponent)
         schedule = [1.0]
         while schedule[-1] < cap:
@@ -80,7 +83,7 @@ class ColorBiddingConfig:
             schedule.append(nxt)
             if len(schedule) > 10_000:
                 raise AssertionError("escalation schedule did not converge")
-        return schedule
+        return tuple(schedule)
 
 
 def reserved_colors(delta: int) -> int:
@@ -119,7 +122,7 @@ class ColorBiddingAlgorithm(SyncAlgorithm):
 
     def _publish_bid(self, ctx: NodeContext) -> None:
         config: ColorBiddingConfig = ctx.globals["config"]
-        schedule: List[float] = ctx.state["schedule"]
+        schedule: Tuple[float, ...] = ctx.state["schedule"]
         i = ctx.state["iteration"]
         if i >= len(schedule):
             # Filtering(t): every still-uncolored vertex is bad.
@@ -176,7 +179,7 @@ class ColorBiddingAlgorithm(SyncAlgorithm):
 
     def _filter_and_rebid(self, ctx: NodeContext, inbox: Inbox) -> None:
         config: ColorBiddingConfig = ctx.globals["config"]
-        schedule: List[float] = ctx.state["schedule"]
+        schedule: Tuple[float, ...] = ctx.state["schedule"]
         delta = ctx.max_degree
         participating: Set[int] = ctx.state["participating_ports"]
         palette: Set[int] = ctx.state["palette"]

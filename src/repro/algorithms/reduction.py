@@ -25,7 +25,8 @@ running on the full communication graph.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.algorithm import Inbox, SyncAlgorithm
 from ..core.context import NodeContext
@@ -125,7 +126,7 @@ class KuhnWattenhoferReduction(SyncAlgorithm):
 
     def step(self, ctx: NodeContext, inbox: Inbox) -> None:
         target = ctx.globals["target"]
-        stages: List[int] = ctx.state["stages"]
+        stages: Tuple[int, ...] = ctx.state["stages"]
         si = ctx.state["stage_index"]
         start = si * target
         block, offset = ctx.state["pair"]
@@ -154,8 +155,12 @@ class KuhnWattenhoferReduction(SyncAlgorithm):
         ctx.sleep_until(self._next_wake(ctx))
 
 
-def _kw_stage_plan(palette: int, target: int) -> List[int]:
-    """Palette size at the start of each stage, until <= target."""
+@lru_cache(maxsize=4096)
+def _kw_stage_plan(palette: int, target: int) -> Tuple[int, ...]:
+    """Palette size at the start of each stage, until <= target.
+
+    Common knowledge: computed once per ``(palette, target)`` and shared
+    read-only by every vertex of a run."""
     if target < 1:
         raise ValueError(f"target must be >= 1, got {target}")
     stages = []
@@ -171,7 +176,7 @@ def _kw_stage_plan(palette: int, target: int) -> List[int]:
             )
         if len(stages) > 10_000:
             raise AssertionError("stage plan did not converge")
-    return stages
+    return tuple(stages)
 
 
 def _smallest_free(taken: set, end: int, start: int = 0) -> int:

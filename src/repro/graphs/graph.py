@@ -50,7 +50,7 @@ class Graph:
     [0, 2]
     """
 
-    __slots__ = ("_n", "_adj", "_rev", "_m", "_edge_list")
+    __slots__ = ("_n", "_adj", "_rev", "_m", "_edge_list", "_max_degree")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
@@ -80,6 +80,7 @@ class Graph:
         self._rev = rev
         self._m = len(edge_list)
         self._edge_list = edge_list
+        self._max_degree = max(map(len, adj), default=0)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -109,9 +110,7 @@ class Graph:
     @property
     def max_degree(self) -> int:
         """Maximum degree Δ of the graph (0 for the empty graph)."""
-        if self._n == 0:
-            return 0
-        return max(len(a) for a in self._adj)
+        return self._max_degree
 
     def neighbors(self, v: int) -> Sequence[int]:
         """Neighbors of ``v`` in port order.  Do not mutate the result."""

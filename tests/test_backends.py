@@ -323,7 +323,7 @@ class TestVectorizedBackend:
     def test_linial_stale_crash_color_raises_identically(self):
         """A round-0 crash freezes the published ID, which is out of
         range for the stage-1 cover-free family — the scalar path
-        raises ValueError from cover_free_set, and the kernel must
+        raises ValueError from linial_recolor, and the kernel must
         raise the identical error."""
         graph, ids, params = self._linial_sparse_ids()
         plan = FaultPlan(seed=5, crashes={3: 0})

@@ -1,5 +1,7 @@
 """Tests for the port-numbered graph structure."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +89,22 @@ class TestStructure:
         g = star_graph(6)
         assert g.degree(0) == 6
         assert g.max_degree == 6
+
+    @pytest.mark.parametrize(
+        "graph, delta",
+        [
+            (Graph(0, []), 0),
+            (Graph(3, []), 0),
+            (path_graph(2), 1),
+            (path_graph(5), 2),
+            (star_graph(7), 7),
+        ],
+    )
+    def test_max_degree_survives_pickle(self, graph, delta):
+        assert graph.max_degree == delta
+        clone = pickle.loads(pickle.dumps(graph))
+        assert clone == graph
+        assert clone.max_degree == delta
 
     def test_is_regular(self):
         assert cycle_graph(5).is_regular(2)

@@ -128,7 +128,7 @@ class TestRoundCounts:
         assert all(a > b for a, b in zip(plan, plan[1:]))
 
     def test_kw_stage_plan_trivial(self):
-        assert _kw_stage_plan(5, 7) == []
+        assert _kw_stage_plan(5, 7) == ()
 
     def test_kw_stage_plan_invalid_target(self):
         with pytest.raises(ValueError):
