@@ -2,16 +2,18 @@
 
 :func:`run_local_sharded` is the entry point registered as the
 ``"sharded"`` backend (same signature and same :class:`RunResult` as
-every other backend).  It runs the shared round loop,
+every other backend): :func:`repro.core.engine.run_stepped` with the
+stepper factory :func:`_shard_stepper`, which declines only without
+``fork`` or in a daemonic process.  The shared round loop,
 :func:`repro.core.engine.run_rounds` — which owns the checkpoint,
 budget and max-rounds guards, bulk skips and observer lifecycle for
-every backend — with a shard-exchange stepper that adds
-only what a round barrier needs:
+every backend — then runs a shard-exchange stepper that adds only
+what a round barrier needs:
 
-1. the parent builds contexts and runs setup (or restores a
-   checkpoint) on the per-node stepper, exactly as the fast engine
-   does, then forks one worker per shard — the workers inherit that
-   stepper through the copied address space;
+1. the parent runs setup (or restores a checkpoint) on the per-node
+   stepper the runner built, exactly as the fast engine does, then
+   forks one worker per shard — the workers inherit that stepper
+   through the copied address space;
 2. each round, the parent sends ``("step", r, ghosts)`` where
    ``ghosts`` are the boundary publishes committed at the previous
    barrier, routed through the partition's ghost-consumer map;
@@ -46,6 +48,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -56,16 +59,11 @@ from typing import (
 )
 
 from ...core.engine import (
-    DEFAULT_MAX_ROUNDS,
     NodeStepper,
     RunResult,
     Stepper,
-    _attached_observers,
     _Events,
-    _run_local_fast,
-    build_contexts,
-    run_rounds,
-    start_run,
+    run_stepped,
 )
 from ...core.errors import ReproError
 from ...graphs.graph import Graph
@@ -284,12 +282,11 @@ class _ShardStepper(Stepper):
         self.procs = []
 
     # -- the stepper -----------------------------------------------------
-    def setup(self) -> bool:
+    def setup(self) -> None:
         self.node.setup()
         if self.node.events is not None:
             # The setup pass's columns, recorded in the parent.
             self.segments = [self.node.drain()]
-        return True
 
     def restore(self, payload: Dict[str, Any]) -> None:
         self.node.restore(payload)
@@ -422,82 +419,40 @@ class _ShardStepper(Stepper):
         return [output for output, _ in pairs], failures
 
 
-def run_local_sharded(
+def _shard_stepper(
     graph: Graph,
     algorithm: Any,
     model: Any,
-    *,
-    ids: Optional[Sequence[int]] = None,
-    seed: Optional[int] = None,
-    node_inputs: Optional[Sequence[Dict[str, Any]]] = None,
-    global_params: Optional[Dict[str, Any]] = None,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    rng_factory: Optional[Any] = None,
-    allow_duplicate_ids: bool = False,
-    observers: Optional[Sequence[Any]] = None,
-    fault_plan: Optional[Any] = None,
-    checkpoint: Optional[Any] = None,
-) -> RunResult:
-    """Entry point of the ``"sharded"`` backend (same signature and
-    same RunResult as every other backend).
-
-    Runs the fast engine instead when the ``fork`` start method is
+    faults: Optional[Any],
+    observing: bool,
+    node_stepper: Callable[[], NodeStepper],
+    inputs: Dict[str, Any],
+) -> Optional[Stepper]:
+    """The backend's stepper factory: the shard-exchange stepper around
+    the per-node stepper, or None when the ``fork`` start method is
     unavailable, or inside a daemonic pool worker (resilient sweeps),
-    which may not fork children of its own.
-    """
+    which may not fork children of its own."""
     config = current_shard_config()
-    attached = _attached_observers(observers)
     if (
-        "fork" in multiprocessing.get_all_start_methods()
-        and not multiprocessing.current_process().daemon
+        "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
     ):
-        contexts = build_contexts(
-            graph,
-            model,
-            ids=ids,
-            seed=seed,
-            node_inputs=node_inputs,
-            global_params=global_params,
-            rng_factory=rng_factory,
-            allow_duplicate_ids=allow_duplicate_ids,
-        )
-        meta, faults = start_run(
-            graph, algorithm, model, max_rounds, seed, fault_plan
-        )
-        stepper = _ShardStepper(
-            NodeStepper(graph, algorithm, contexts, faults, bool(attached)),
-            partition_graph(
-                graph, config.n_shards, mode=config.mode, seed=config.seed
-            ),
-        )
-        result = run_rounds(
-            stepper,
-            meta,
-            faults,
-            attached,
-            checkpoint=checkpoint,
-        )
-        assert result is not None  # the shard stepper never declines
-        return result
-    # The checkpoint session rides along: the fallback decision is
-    # deterministic for a fixed configuration, so a resumed run falls
-    # back exactly when the interrupted run did and the per-node engine
-    # consumes the (scalar-format) snapshot.
-    return _run_local_fast(
-        graph,
-        algorithm,
-        model,
-        ids=ids,
-        seed=seed,
-        node_inputs=node_inputs,
-        global_params=global_params,
-        max_rounds=max_rounds,
-        rng_factory=rng_factory,
-        allow_duplicate_ids=allow_duplicate_ids,
-        observers=observers,
-        fault_plan=fault_plan,
-        checkpoint=checkpoint,
+        return None
+    return _ShardStepper(
+        node_stepper(),
+        partition_graph(
+            graph, config.n_shards, mode=config.mode, seed=config.seed
+        ),
     )
+
+
+def run_local_sharded(
+    graph: Graph, algorithm: Any, model: Any, **options: Any
+) -> RunResult:
+    """Entry point of the ``"sharded"`` backend: the shared runner with
+    :func:`_shard_stepper` (same signature and same RunResult as every
+    other backend)."""
+    return run_stepped(_shard_stepper, graph, algorithm, model, **options)
 
 
 def _merge(

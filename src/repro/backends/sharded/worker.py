@@ -3,7 +3,7 @@
 Each worker is forked by the coordinator *after* the parent has built
 every :class:`~repro.core.context.NodeContext` and completed the setup
 pass (or restored a checkpoint), so the worker inherits the parent's
-:class:`~repro.core.engine.NodeStepper` — contexts, CSR adjacency,
+:class:`~repro.core.engine.NodeStepper` — contexts, neighbor lists,
 algorithm, and the activated :class:`~repro.faults.runtime.FaultRuntime`
 — through the copied address space: nothing is pickled at startup (the
 shared read-only ``ctx.globals`` mapping could not be).

@@ -17,10 +17,12 @@ engines.  RandLOCAL kernels consume the exact same per-vertex
 ``random.Random`` streams in the exact same per-vertex draw order, so
 even sampled executions match draw-for-draw.
 
-**One round loop.**  The backend plugs a numpy-kernel stepper into
+**One round loop.**  The backend is the shared runner,
+:func:`repro.core.engine.run_stepped`, with the stepper factory
+:func:`_kernel_stepper`; its numpy-kernel stepper runs in
 :func:`repro.core.engine.run_rounds`, which owns the guards, bulk
-skips and observer lifecycle for every backend; the
-stepper adds wake buckets over index arrays, crash-stop accounting,
+skips and observer lifecycle for every backend.  The stepper adds
+wake buckets over index arrays, crash-stop accounting,
 one :meth:`RoundKernel.step` call per round and the round's
 :class:`~repro.obs.RoundBatch`, with numpy vertex columns and the
 published values kernels report through
@@ -28,9 +30,10 @@ published values kernels report through
 the resulting telemetry (metrics summaries, trace bytes) is identical
 to the other engines'.
 
-**Fallback rules.**  The backend decides once per run whether it can
-build that stepper, and runs the fast per-node engine instead whenever
-vectorized execution could not be bit-identical or is impossible:
+**Fallback rules.**  The factory decides once per run, before the run
+starts or resumes, and returns None — the runner then steps per node —
+whenever vectorized execution could not be bit-identical or is
+impossible:
 
 - no kernel is registered for the algorithm's type;
 - the active fault plan touches messages (drop/duplicate/corrupt need
@@ -38,10 +41,13 @@ vectorized execution could not be bit-identical or is impossible:
   faults stay on the vectorized path (the :class:`RoundKernel`
   contract scatters published state only for ``awake`` vertices, so a
   crashed vertex's last published value stays frozen);
+- constructing the :class:`VectorRun` or the kernel raises a
+  non-:class:`~repro.core.errors.ReproError` (ill-typed inputs);
 - the kernel's ``supports()`` veto — unusual configurations (oversized
   palettes, missing inputs) where the scalar path is the spec.
 
-The fallback is an implementation detail: callers always observe
+A kernel ``setup()`` error ends the run; it never falls back.  The
+fallback is an implementation detail: callers always observe
 engine-identical behavior, including error behavior and telemetry.
 """
 
@@ -53,18 +59,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 import numpy as np
 
 from ..core.algorithm import SyncAlgorithm
-from ..core.checkpoint import CheckpointSession
 from ..core.context import Model
 from ..core.engine import (
-    DEFAULT_MAX_ROUNDS,
     RunResult,
     Stepper,
-    _attached_observers,
-    _run_local_fast,
     checked_ids,
     flat_adjacency,
-    run_rounds,
-    start_run,
+    run_stepped,
 )
 from ..core.errors import FaultEvent, ReproError, SimulationError
 from ..graphs.graph import Graph
@@ -347,6 +348,10 @@ class RoundKernel:
       published state only (gather before scatter — the vectorized
       double buffering).
 
+    ``setup()`` must accept whatever the constructor accepted: convert
+    inputs in ``__init__`` and veto in ``supports()``, because a
+    ``setup()`` error is the run's error, never a fallback.
+
     A kernel must also keep crash-stop fidelity: published state it
     gathers from is scattered only for vertices in ``awake``, so a
     crashed vertex's last published value stays frozen exactly as in
@@ -434,17 +439,8 @@ class _KernelStepper(Stepper):
         self.crash_reasons: List[str] = []
         self.crash_faults: List[Tuple[int, FaultEvent]] = []
 
-    def setup(self) -> bool:
-        try:
-            self.kernel.setup()
-        except ReproError:
-            raise
-        except Exception:
-            # Same contract as the construction fallback in
-            # run_local_vectorized: the scalar engine re-raises its own
-            # — contractual — error.
-            return False
-        return True
+    def setup(self) -> None:
+        self.kernel.setup()
 
     def capture(self, rounds: int, messages: int) -> Dict[str, Any]:
         """The ``"vector"`` snapshot.
@@ -674,86 +670,44 @@ class _KernelStepper(Stepper):
         return self.run.outputs, self.run.failures
 
 
-def run_local_vectorized(
+def _kernel_stepper(
     graph: Graph,
     algorithm: SyncAlgorithm,
     model: Model,
-    *,
-    ids: Optional[Sequence[int]] = None,
-    seed: Optional[int] = None,
-    node_inputs: Optional[Sequence[Dict[str, Any]]] = None,
-    global_params: Optional[Dict[str, Any]] = None,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    rng_factory: Optional[Any] = None,
-    allow_duplicate_ids: bool = False,
-    observers: Optional[Sequence[Any]] = None,
-    fault_plan: Optional[Any] = None,
-    checkpoint: Optional[CheckpointSession] = None,
-) -> RunResult:
-    """Entry point of the ``"vectorized"`` backend (same signature and
-    same RunResult as every other backend)."""
-    meta, faults = start_run(
-        graph, algorithm, model, max_rounds, seed, fault_plan
-    )
-    attached = _attached_observers(observers)
+    faults: Optional[Any],
+    observing: bool,
+    node_stepper: Callable[[], Stepper],
+    inputs: Dict[str, Any],
+) -> Optional[Stepper]:
+    """The backend's stepper factory: the numpy-kernel stepper, or
+    None under the fallback rules of the module docstring."""
     kernel_cls = kernel_for(algorithm)
-    stepper: Optional[_KernelStepper] = None
-    if (
-        kernel_cls is not None
-        # Message perturbation happens per materialized inbox slot.
-        and not (faults is not None and faults.touches_messages)
-    ):
-        try:
-            run = VectorRun(
-                graph,
-                model,
-                ids=ids,
-                seed=seed,
-                node_inputs=node_inputs,
-                global_params=global_params,
-                rng_factory=rng_factory,
-                allow_duplicate_ids=allow_duplicate_ids,
-            )
-            run.observing = bool(attached)
-            if kernel_cls.supports(algorithm, run):
-                stepper = _KernelStepper(kernel_cls(run, algorithm), faults)
-        except ReproError:
-            raise
-        except Exception:
-            # Construction chokes on ill-typed inputs (e.g. a composite
-            # driver feeding forward the None outputs of a crash-faulted
-            # upstream phase) before anything observable happened; the
-            # scalar engine re-raises its own — contractual — error.
-            stepper = None
-    if stepper is not None:
-        result = run_rounds(
-            stepper,
-            meta,
-            faults,
-            attached,
-            checkpoint=checkpoint,
-        )
-        if result is not None:
-            return result
-    # The checkpoint session rides along: the fallback decision is
-    # deterministic for a fixed configuration, so a resumed run falls
-    # back exactly when the interrupted run did and the per-node engine
-    # consumes the (scalar-format) snapshot.
-    return _run_local_fast(
-        graph,
-        algorithm,
-        model,
-        ids=ids,
-        seed=seed,
-        node_inputs=node_inputs,
-        global_params=global_params,
-        max_rounds=max_rounds,
-        rng_factory=rng_factory,
-        allow_duplicate_ids=allow_duplicate_ids,
-        observers=observers,
-        fault_plan=fault_plan,
-        checkpoint=checkpoint,
-    )
+    # Message perturbation happens per materialized inbox slot.
+    if kernel_cls is None or (faults is not None and faults.touches_messages):
+        return None
+    try:
+        run = VectorRun(graph, model, **inputs)
+        run.observing = observing
+        if not kernel_cls.supports(algorithm, run):
+            return None
+        return _KernelStepper(kernel_cls(run, algorithm), faults)
+    except ReproError:
+        raise
+    except Exception:
+        # Construction chokes on ill-typed inputs (e.g. a composite
+        # driver feeding forward the None outputs of a crash-faulted
+        # upstream phase) before anything observable happened; the
+        # per-node stepper raises its own — contractual — error.
+        return None
+
+
+def run_local_vectorized(
+    graph: Graph, algorithm: SyncAlgorithm, model: Model, **options: Any
+) -> RunResult:
+    """Entry point of the ``"vectorized"`` backend: the shared runner
+    with :func:`_kernel_stepper` (same signature and same RunResult as
+    every other backend)."""
+    return run_stepped(_kernel_stepper, graph, algorithm, model, **options)
 
 
 def _group_by_wake(

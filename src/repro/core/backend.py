@@ -2,14 +2,16 @@
 
 A *backend* is one way to execute the synchronous rounds.  The repo
 ships four.  ``"fast"`` (the default), ``"vectorized"`` and
-``"sharded"`` share one round loop, :func:`repro.core.engine.run_rounds`
-(guards, bulk skips, observer lifecycle, RunResult), and differ
-only in the stepper that executes a round: per-node stepping with
-dirty-commit and wake buckets; numpy whole-round kernels over the CSR
-adjacency (requires the ``[perf]`` extra; see ``docs/performance.md``);
-forked shard workers exchanging boundary messages at round barriers
-(see ``docs/sharding.md``).  ``"reference"`` is the kept-simple oracle
-loop the equivalence suite trusts.
+``"sharded"`` share one runner, :func:`repro.core.engine.run_stepped`,
+and one round loop, :func:`repro.core.engine.run_rounds` (guards, bulk
+skips, observer lifecycle, RunResult), and differ only in the stepper
+that executes a round, picked once before the run starts: per-node
+stepping with dirty-commit and wake buckets (also any run the other
+two decline); numpy whole-round kernels over the CSR adjacency
+(requires the ``[perf]`` extra; see ``docs/performance.md``); forked
+shard workers exchanging boundary messages at round barriers (see
+``docs/sharding.md``).  ``"reference"`` is the kept-simple oracle loop
+the equivalence suite trusts.
 
 All backends share one contract: identical signature, identical
 :class:`~repro.core.engine.RunResult` (outputs, rounds, messages,
@@ -50,6 +52,10 @@ DEFAULT_BACKEND = "fast"
 #: A backend's runner: the exact ``run_local`` signature, returning a
 #: ``RunResult``.  Typed loosely to keep this module engine-free.
 Runner = Callable[..., Any]
+
+#: A backend's stepper factory for
+#: :func:`repro.core.engine.run_stepped`; returns a stepper or None.
+StepperFactory = Callable[..., Any]
 
 
 @dataclass(frozen=True)

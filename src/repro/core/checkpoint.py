@@ -427,9 +427,11 @@ class CheckpointSession:
         """The restored engine snapshot for this slot, or None.
 
         The engine names its own ``expected_format`` (``"scalar"`` or
-        ``"vector"``); a mismatch means the backend decision changed
-        between the killed run and the resume (different env, different
-        fallback) and resuming would be wrong — raised loudly.
+        ``"vector"``); a mismatch means the backend changed between the
+        killed run and the resume (a different env) and resuming would
+        be wrong — raised loudly.  Within one backend the fallback
+        decision is made before the run starts or resumes, from the
+        run's configuration alone, so it cannot change in between.
         """
         payload = self._engine_payload
         if payload is None:

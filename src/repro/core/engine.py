@@ -18,16 +18,17 @@ Faithfulness guarantees:
 - a run that exceeds ``max_rounds`` raises instead of under-reporting.
 
 :func:`run_local` dispatches to a pluggable *backend* (see
-:mod:`repro.core.backend`).  Three of the four share one round loop,
-:func:`run_rounds`, which owns resume-or-setup, the checkpoint, budget
-and ``max_rounds`` guards, bulk-skipping of rounds in which every live
-vertex sleeps, the observer lifecycle and the :class:`RunResult`; each
-plugs in a :class:`Stepper` that executes one whole round:
+:mod:`repro.core.backend`).  Three of the four share one runner,
+:func:`run_stepped`, and one round loop, :func:`run_rounds`, which
+owns resume-or-setup, the checkpoint, budget and ``max_rounds``
+guards, bulk-skipping of rounds in which every live vertex sleeps, the
+observer lifecycle and the :class:`RunResult`; each plugs in a
+:class:`Stepper` that executes one whole round:
 
 - ``"fast"`` (:func:`_run_local_fast`, the default) — the per-node
   stepper (:class:`NodeStepper`).  It keeps a persistent ``visible``
   list and commits only the publishes that actually changed, delivers
-  inboxes through a flat CSR adjacency built once per run, and parks
+  inboxes from the graph's own neighbor lists, and parks
   ``sleep_until`` vertices in round-keyed wake buckets so sleeping
   vertices are never scanned.  Per-round cost is O(awake + changed),
   which is what the paper's shattering analysis predicts the workload
@@ -40,9 +41,11 @@ plugs in a :class:`Stepper` that executes one whole round:
   vertices they own and exchange boundary messages at round barriers;
   see ``docs/sharding.md``.
 
-A backend that cannot build its stepper for a run (no kernel, an
-unsupported fault plan, no ``fork``) runs :func:`_run_local_fast`
-instead.  ``"reference"`` (:func:`run_local_reference`) keeps its own
+The runner makes the run's one fallback decision before the run starts
+or resumes: a backend's stepper factory declines a run it cannot step
+(no kernel, an unsupported fault plan, no ``fork``) and the per-node
+stepper runs instead, so a resumed run steps as the interrupted one
+did.  ``"reference"`` (:func:`run_local_reference`) keeps its own
 straight-line loop, deliberately: it is the oracle the equivalence
 suite compares every other backend against (see
 ``docs/performance.md``).
@@ -87,6 +90,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from .algorithm import SyncAlgorithm
 from .backend import (
     Runner,
+    StepperFactory,
     current_backend_name,
     get_backend,
     register_backend,
@@ -485,8 +489,8 @@ def flat_adjacency(graph: Graph) -> Tuple[List[int], List[int]]:
     """The graph's adjacency as flat CSR arrays ``(offsets, targets)``.
 
     ``targets[offsets[v]:offsets[v + 1]]`` lists ``v``'s neighbors in
-    port order.  Built once per run; the hot loop then delivers inboxes
-    with plain list indexing instead of per-step method dispatch.
+    port order.  ``VectorRun`` and ``MetricsObserver``'s numpy mode
+    build it once per run; the per-node stepper reads the graph's lists.
     """
     n = graph.num_vertices
     offsets = [0] * (n + 1)
@@ -728,10 +732,10 @@ def _restore_scalar_state(
 class Stepper:
     """How one backend executes a round; :func:`run_rounds` does the rest.
 
-    The loop calls ``setup()`` on a fresh run — False declines the run
-    before anything observable happened, and the backend runs the
-    per-node engine instead — or ``restore(payload)`` on a resumed one.
-    ``schedule(rounds)`` then indexes the live vertices at that
+    The loop calls ``setup()`` on a fresh run or ``restore(payload)``
+    on a resumed one; :func:`run_stepped` chose the stepper before
+    either, so an error they raise ends the run.  ``schedule(rounds)``
+    then indexes the live vertices at that
     boundary: a strictly later wake round parks a vertex, anything else
     makes it runnable.  At each round boundary ``active()`` counts the
     live vertices (0 ends the run) and ``wake(rounds)`` admits those
@@ -749,7 +753,7 @@ class Stepper:
     #: ``on_backend_info`` arguments: the backend and kernel that ran.
     backend_info: Tuple[str, Optional[str]] = ("", None)
 
-    def setup(self) -> bool:
+    def setup(self) -> None:
         raise NotImplementedError
 
     def restore(self, payload: Dict[str, Any]) -> None:
@@ -814,9 +818,12 @@ def start_run(
     max_rounds: int,
     seed: Optional[int],
     fault_plan: Optional[Any],
-) -> Tuple[RunMeta, Optional[Any]]:
-    """The run's static facts and its activated fault plan (the
-    explicit ``fault_plan``, else the ambient one, else None)."""
+    observers: Optional[Sequence[Any]],
+) -> Tuple[RunMeta, Optional[Any], Tuple[Any, ...]]:
+    """The run's static facts, its activated fault plan (the explicit
+    ``fault_plan``, else the ambient one, else None) and its attached
+    observers — checked here, before any backend builds its state, so
+    a misconfigured run raises the same error on every backend."""
     meta = RunMeta(
         algorithm=algorithm.name,
         model=model,
@@ -828,7 +835,8 @@ def start_run(
         graph=graph,
     )
     plan = fault_plan if fault_plan is not None else _ACTIVE_FAULT_PLAN
-    return meta, plan.activate(meta) if plan is not None else None
+    faults = plan.activate(meta) if plan is not None else None
+    return meta, faults, _attached_observers(observers)
 
 
 def run_rounds(
@@ -838,7 +846,7 @@ def run_rounds(
     observers: Tuple[Any, ...],
     *,
     checkpoint: Optional[CheckpointSession],
-) -> Optional[RunResult]:
+) -> RunResult:
     """The round loop of the fast, vectorized and sharded backends.
 
     Per round boundary, in this order: take a due checkpoint, raise on
@@ -855,7 +863,8 @@ def run_rounds(
     and the setup batch, and closes with ``on_run_end``, or with
     ``on_run_abort`` when it raises (setup included).
 
-    Returns None only when the stepper declined the run in ``setup``.
+    :func:`run_stepped` chose ``stepper`` before the run started or
+    resumed, so a resumed run restores the snapshot format it wrote.
     """
     if observers:
         from ..obs.observer import RoundBatch
@@ -877,8 +886,7 @@ def run_rounds(
             # carries its post-setup values.
             checkpoint.restore_engine(state, resumed)
         else:
-            if not stepper.setup():
-                return None
+            stepper.setup()
             if observers:
                 _open_run(
                     observers,
@@ -996,7 +1004,8 @@ class NodeStepper(Stepper):
             else None
         )
         self.clock = _Clock()
-        self.offsets, self.targets = flat_adjacency(graph)
+        #: Every vertex's neighbors in port order (the graph's own lists).
+        self.neighbors = [graph.neighbors(v) for v in range(len(contexts))]
         #: Persistent per-vertex visible values; updated in place by the
         #: dirty-commit pass instead of being rebuilt every round.
         self.visible: List[Any] = []
@@ -1009,10 +1018,9 @@ class NodeStepper(Stepper):
         #: The vertex whose step raised, if one did.
         self.failed_vertex: Optional[int] = None
 
-    def setup(self) -> bool:
+    def setup(self) -> None:
         _run_setup(self.contexts, self.algorithm, self.clock, self.events)
         self.visible = [ctx._pub for ctx in self.contexts]
-        return True
 
     def restore(self, payload: Dict[str, Any]) -> None:
         _restore_scalar_state(
@@ -1076,8 +1084,7 @@ class NodeStepper(Stepper):
             runnable.sort()
         contexts = self.contexts
         visible = self.visible
-        offsets = self.offsets
-        targets = self.targets
+        neighbors = self.neighbors
         buckets = self.buckets
         faults = self.faults
         deliver = self.deliver
@@ -1103,9 +1110,7 @@ class NodeStepper(Stepper):
                     if events is not None:
                         events.crash(v, faults.crash_event(rounds, v), reason)
                     continue
-                lo = offsets[v]
-                hi = offsets[v + 1]
-                inbox = [visible[u] for u in targets[lo:hi]]
+                inbox = [visible[u] for u in neighbors[v]]
                 if deliver is not None:
                     injected = deliver(rounds, v, inbox, events is not None)
                     if events is not None and injected:
@@ -1168,7 +1173,8 @@ class NodeStepper(Stepper):
         return [ctx.output for ctx in contexts], failures
 
 
-def _run_local_fast(
+def run_stepped(
+    make_stepper: Optional[StepperFactory],
     graph: Graph,
     algorithm: SyncAlgorithm,
     model: Model,
@@ -1184,32 +1190,49 @@ def _run_local_fast(
     fault_plan: Optional[Any] = None,
     checkpoint: Optional[CheckpointSession] = None,
 ) -> RunResult:
-    """The ``"fast"`` backend: the per-node stepper on the shared
-    round loop.  The other backends call it directly when they cannot
-    build their own stepper."""
-    contexts = build_contexts(
-        graph,
-        model,
-        ids=ids,
-        seed=seed,
-        node_inputs=node_inputs,
-        global_params=global_params,
-        rng_factory=rng_factory,
-        allow_duplicate_ids=allow_duplicate_ids,
+    """The runner of every backend on :func:`run_rounds`; it takes
+    :func:`run_local`'s keywords plus ``checkpoint``.
+
+    It activates the fault plan, resolves the observers, then makes the
+    run's one fallback decision from its configuration alone:
+    ``make_stepper(graph, algorithm, model, faults, observing,
+    node_stepper, inputs)`` — the backend's stepper factory, None for
+    ``"fast"`` — returns a stepper, or None to step per node.
+    ``node_stepper()`` builds the contexts from ``inputs`` (the
+    :func:`build_contexts` keywords) and the only :class:`NodeStepper`.
+    """
+    meta, faults, attached = start_run(
+        graph, algorithm, model, max_rounds, seed, fault_plan, observers
     )
-    meta, faults = start_run(
-        graph, algorithm, model, max_rounds, seed, fault_plan
-    )
-    attached = _attached_observers(observers)
-    result = run_rounds(
-        NodeStepper(graph, algorithm, contexts, faults, bool(attached)),
-        meta,
-        faults,
-        attached,
-        checkpoint=checkpoint,
-    )
-    assert result is not None  # the per-node stepper never declines
-    return result
+    observing = bool(attached)
+    inputs: Dict[str, Any] = {
+        "ids": ids,
+        "seed": seed,
+        "node_inputs": node_inputs,
+        "global_params": global_params,
+        "rng_factory": rng_factory,
+        "allow_duplicate_ids": allow_duplicate_ids,
+    }
+
+    def node_stepper() -> NodeStepper:
+        contexts = build_contexts(graph, model, **inputs)
+        return NodeStepper(graph, algorithm, contexts, faults, observing)
+
+    stepper: Optional[Stepper] = None
+    if make_stepper is not None:
+        stepper = make_stepper(
+            graph, algorithm, model, faults, observing, node_stepper, inputs
+        )
+    if stepper is None:
+        stepper = node_stepper()
+    return run_rounds(stepper, meta, faults, attached, checkpoint=checkpoint)
+
+
+def _run_local_fast(
+    graph: Graph, algorithm: SyncAlgorithm, model: Model, **options: Any
+) -> RunResult:
+    """The ``"fast"`` backend: the shared runner with no factory."""
+    return run_stepped(None, graph, algorithm, model, **options)
 
 
 def _load_vectorized_backend() -> Runner:
@@ -1262,6 +1285,9 @@ def run_local_reference(
     same faults: decisions are hash-derived per (round, vertex, port),
     never drawn sequentially, so vertex scan order cannot skew them.
     """
+    meta, faults, attached = start_run(
+        graph, algorithm, model, max_rounds, seed, fault_plan, observers
+    )
     contexts = build_contexts(
         graph,
         model,
@@ -1273,10 +1299,6 @@ def run_local_reference(
         allow_duplicate_ids=allow_duplicate_ids,
     )
     n = graph.num_vertices
-    meta, faults = start_run(
-        graph, algorithm, model, max_rounds, seed, fault_plan
-    )
-    attached = _attached_observers(observers)
     events = _Events() if attached else None
     clock = _Clock()
     state = _ScalarState(contexts, faults)

@@ -117,8 +117,8 @@ RULES: Dict[str, RuleSpec] = {
             "LM007",
             Severity.WARNING,
             "per-round topology recomputation in node code",
-            "the engine precomputes the flat adjacency (CSR) and every "
-            "vertex's reverse ports once per run; node code re-deriving "
+            "the engine collects every vertex's neighbor list and "
+            "reverse ports once per run; node code re-deriving "
             "neighbor structure each round repeats that work "
             "O(rounds) times (see docs/performance.md).",
         ),

@@ -35,10 +35,12 @@ from repro.core import (
     run_local,
     use_backend,
 )
+from repro.core.algorithm import SyncAlgorithm
 from repro.core.backend import _REGISTRY
+from repro.core.checkpoint import checkpointing
 from repro.faults import FaultPlan
 from repro.graphs.generators import cycle_graph, random_tree_bounded_degree
-from repro.obs import RunObserver
+from repro.obs import JsonlTraceObserver, RunObserver
 from tests.test_io_tracing import ActivityLog, run_with_activity
 
 PERFORMANCE_DOC = (
@@ -100,6 +102,17 @@ class TestRegistry:
             get_backend("warp-drive")
         with pytest.raises(ReproError, match="fast"):
             get_backend("warp-drive")
+
+    def test_a_bad_observer_is_refused_first_on_every_backend(self):
+        """Configuration errors are backend-identical even with two bad
+        arguments: every backend checks the observers before the IDs."""
+        for backend in available_backend_names():
+            with pytest.raises(TypeError, match="cannot observe runs"):
+                run_local(
+                    cycle_graph(4), LinialColoring(), Model.DET,
+                    ids=[0, 0, 1, 2], observers=[object()],
+                    backend=backend,
+                )
 
     def test_run_local_rejects_unknown_backend(self):
         with pytest.raises(ReproError, match="unknown engine backend"):
@@ -292,10 +305,15 @@ class TestVectorizedBackend:
     def _forbid_fallback(self, monkeypatch):
         from repro.backends import vectorized
 
-        def boom(*args, **kwargs):  # pragma: no cover — must not run
-            raise AssertionError("unexpected fallback to fast engine")
+        factory = vectorized._kernel_stepper
 
-        monkeypatch.setattr(vectorized, "_run_local_fast", boom)
+        def kernel_stepper(*args):
+            stepper = factory(*args)
+            if stepper is None:
+                raise AssertionError("unexpected fallback to fast engine")
+            return stepper
+
+        monkeypatch.setattr(vectorized, "_kernel_stepper", kernel_stepper)
 
     def test_linial_crash_faults_identical_on_kernel_path(
         self, monkeypatch
@@ -395,6 +413,121 @@ class TestVectorizedBackend:
             except Exception as exc:  # noqa: BLE001 — outcome folding
                 outcomes.append(("error", f"{type(exc).__name__}: {exc}"))
         assert outcomes[0] == outcomes[1]
+
+
+class _Accumulate(SyncAlgorithm):
+    """A fixed-length DetLOCAL run whose outputs depend on every
+    round's inbox; no shipped kernel is registered for it."""
+
+    name = "accumulate"
+
+    def setup(self, ctx):
+        ctx.state["acc"] = ctx.id
+        ctx.state["r"] = 0
+        ctx.publish(ctx.id)
+
+    def step(self, ctx, inbox):
+        ctx.state["acc"] = (ctx.state["acc"] * 31 + sum(inbox)) % 1000003
+        ctx.state["r"] += 1
+        if ctx.state["r"] >= 20:
+            ctx.halt(ctx.state["acc"])
+        else:
+            ctx.publish(ctx.state["acc"])
+
+
+class _Kill(Exception):
+    """Injected mid-run death."""
+
+
+class _KillAfter(RunObserver):
+    """Checkpoint-capable observer: records the engine that ran and
+    raises after ``kill_after`` communication rounds."""
+
+    checkpoint_capable = True
+
+    def __init__(self, kill_after=None):
+        self.kill_after = kill_after
+        self.rounds = 0
+        self.engines = []
+
+    def checkpoint_state(self):
+        return self.rounds
+
+    def restore_checkpoint(self, state):
+        self.rounds = 0 if state is None else state
+
+    def on_backend_info(self, backend, kernel):
+        self.engines.append((backend, kernel))
+
+    def on_round_batch(self, batch):
+        if batch.round_index < 0:
+            return
+        self.rounds += 1
+        if self.rounds == self.kill_after:
+            raise _Kill(f"killed after {self.rounds} rounds")
+
+
+@needs_vectorized
+class TestFallbackDecision:
+    """The vectorized backend decides once, before the run starts or
+    resumes, whether its kernel stepper runs.  Each test registers its
+    kernel for :class:`_Accumulate` through ``monkeypatch``, so none
+    outlives the test."""
+
+    def test_kernel_setup_error_surfaces(self, monkeypatch):
+        from repro.backends import vectorized
+
+        class SetupRaises(vectorized.RoundKernel):
+            def setup(self):
+                raise TypeError("kernel setup rejects this run")
+
+        monkeypatch.setitem(vectorized._KERNELS, _Accumulate, SetupRaises)
+        with pytest.raises(TypeError, match="kernel setup rejects"):
+            run_local(
+                cycle_graph(12), _Accumulate(), Model.DET,
+                backend="vectorized",
+            )
+
+    def test_vetoed_run_resumes_on_the_per_node_stepper(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.backends import vectorized
+
+        class Vetoes(vectorized.RoundKernel):
+            @classmethod
+            def supports(cls, algorithm, run):
+                return False
+
+        monkeypatch.setitem(vectorized._KERNELS, _Accumulate, Vetoes)
+        graph = cycle_graph(12)
+        directory = str(tmp_path)
+        with use_backend("vectorized"):
+            base_sink, base_log = io.StringIO(), _KillAfter()
+            with observe_runs(JsonlTraceObserver(base_sink), base_log):
+                baseline = run_local(graph, _Accumulate(), Model.DET)
+
+            kill_sink, kill_log = io.StringIO(), _KillAfter(kill_after=10)
+            with checkpointing(directory, every_rounds=4), observe_runs(
+                JsonlTraceObserver(kill_sink), kill_log
+            ):
+                with pytest.raises(_Kill):
+                    run_local(graph, _Accumulate(), Model.DET)
+
+            resume_sink = io.StringIO()
+            resume_sink.write(kill_sink.getvalue())
+            with checkpointing(
+                directory, every_rounds=4, resume=True
+            ) as scope, observe_runs(
+                JsonlTraceObserver(resume_sink), _KillAfter()
+            ):
+                resumed = run_local(graph, _Accumulate(), Model.DET)
+
+        assert base_log.engines == kill_log.engines == [("fast", None)]
+        assert {"slot": 0, "action": "restored", "rounds": 8} in (
+            scope.events
+        )
+        assert resumed == baseline
+        assert resume_sink.getvalue() == base_sink.getvalue()
 
 
 class _EngineLog(RunObserver):

@@ -106,12 +106,17 @@ def no_fallback(monkeypatch):
     """Make any vectorized->scalar fallback an immediate test failure."""
     import repro.backends.vectorized as vec
 
-    def boom(*args, **kwargs):
-        raise AssertionError(
-            "vectorized backend fell back to the scalar engine"
-        )
+    factory = vec._kernel_stepper
 
-    monkeypatch.setattr(vec, "_run_local_fast", boom)
+    def kernel_stepper(*args):
+        stepper = factory(*args)
+        if stepper is None:
+            raise AssertionError(
+                "vectorized backend fell back to the scalar engine"
+            )
+        return stepper
+
+    monkeypatch.setattr(vec, "_kernel_stepper", kernel_stepper)
 
 
 class Sleeper(SyncAlgorithm):

@@ -395,10 +395,15 @@ def test_simultaneous_shard_errors_raise_the_lowest_vertex():
 
 
 class _ScalarRecorder(RunObserver):
-    """Counts the per-vertex step events of every round batch."""
+    """Counts the per-vertex step events of every round batch, and
+    records the engines that ran."""
 
     def __init__(self):
         self.steps = 0
+        self.engines = set()
+
+    def on_backend_info(self, backend, kernel):
+        self.engines.add(backend)
 
     def on_round_batch(self, batch):
         self.steps += sum(
@@ -407,9 +412,7 @@ class _ScalarRecorder(RunObserver):
 
 
 @requires_fork
-def test_scalar_observer_stays_sharded_with_identical_results(monkeypatch):
-    import repro.backends.sharded.coordinator as coordinator
-
+def test_scalar_observer_stays_sharded_with_identical_results():
     # luby-mis steps for several rounds; linial-coloring at quick_n
     # halts in setup, which would compare zero steps with zero.
     spec = driver_registry()["luby-mis"]
@@ -419,10 +422,6 @@ def test_scalar_observer_stays_sharded_with_identical_results(monkeypatch):
     with use_backend("fast"), observe_runs(recorder_fast):
         base = run_outcome(subject, instance)
 
-    def boom(*args, **kwargs):
-        raise AssertionError("sharded backend fell back to the fast engine")
-
-    monkeypatch.setattr(coordinator, "_run_local_fast", boom)
     recorder_sharded = _ScalarRecorder()
     with use_backend("sharded"), use_shards(2), observe_runs(
         recorder_sharded
@@ -430,6 +429,8 @@ def test_scalar_observer_stays_sharded_with_identical_results(monkeypatch):
         got = run_outcome(subject, instance)
     assert got == base
     assert recorder_sharded.steps == recorder_fast.steps > 0
+    # A fallback would report "fast": the run must stay on the shards.
+    assert recorder_sharded.engines == {"sharded"}
 
 
 # ----------------------------------------------------------------------
